@@ -46,6 +46,7 @@ from .mesh import (
     read_mesh_text,
     subdivide,
     subdivide_adaptive,
+    table_sites,
     write_mesh_text,
 )
 from .shapefn import (
@@ -60,13 +61,12 @@ from .shapefn import (
     eval_wachspress_gradient,
     line_through,
     shape_evaluator,
-    table_sites,
 )
 from .smoothing import (
     ElementStiffness,
     MaterialModel,
-    SmoothedBMatrix,
     elasticity_matrix,
+    element_b_matrices,
     element_stiffness,
     smoothed_b,
 )

@@ -21,15 +21,13 @@ from .mesh import (
     distort_mesh,
     generate_structured_mesh,
     polygon_centroid,
-    subdivide_adaptive,
 )
-from .shapefn import shape_evaluator
 from .smoothing import (
     GAUSS_1D,
     MaterialModel,
-    default_quadrature,
     elasticity_matrix,
-    smoothed_b,
+    element_b_matrices,
+    smoothed_b,  # noqa: F401  bench/tests reads sfem2d.benchmarks.smoothed_b
 )
 from .solver import (
     DofMap,
@@ -226,19 +224,15 @@ def energy_norm_error(mesh, u, beam, scheme, k_cells, quadrature=None,
     3-point degree-2 rule per triangle; the smoothed strain is constant
     per cell. No 1/2 factor inside the integrand.
     """
-    if quadrature is None:
-        quadrature = default_quadrature(scheme)
     d = elasticity_matrix(beam.material)
     dofs = DofMap(mesh.num_nodes)
     total = 0.0
     for e in range(mesh.num_elements):
-        quad = mesh.element_coords(e)
-        cells, k_used, split_used = subdivide_adaptive(
-            quad, k_cells, parent_element=e, split=split)
-        evaluator = shape_evaluator(scheme, quad, k_used, split_used)
+        cells, bmats = element_b_matrices(mesh.element_coords(e), k_cells,
+                                          scheme, quadrature, split, e)
         ue = u[dofs.element_dofs(mesh.elements[e])]
-        for cell in cells:
-            eh = smoothed_b(cell, evaluator, quadrature).entries @ ue
+        for cell, b in zip(cells, bmats):
+            eh = b @ ue
             verts = cell.vertices
             centroid = polygon_centroid(verts)
             m = len(verts)

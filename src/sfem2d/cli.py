@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 from statistics import median
 
 import numpy as np
@@ -29,40 +28,6 @@ from .svgplot import write_loglog_svg
 
 PARALLELOGRAM = ((0.0, 0.0), (1.0, 0.0), (1.5, 1.0), (0.5, 1.0))
 UNIT_SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
-
-
-@dataclass
-class RunConfig:
-    command: str
-    scheme: list = field(default_factory=lambda: ["wachspress"])
-    k_cells: int = 4
-    alpha_ir: float = 0.0
-    seed: int = 0
-    num_seeds: int = 1
-    mesh_index: float = 4.0
-    mesh_indices: list = field(default_factory=lambda: [0.5, 1.0, 2.0, 4.0])
-    quadrature: int | None = None
-    split: str = "12-34"
-    output_dir: str = ""
-    quad: tuple = PARALLELOGRAM
-    point: tuple = (0.25, 0.5)
-
-    def validate(self):
-        for s in self.scheme:
-            if s not in SCHEMES:
-                raise ValueError(f"unknown scheme {s!r}")
-        if self.k_cells not in (1, 2, 4):
-            raise ValueError("k must be 1, 2 or 4")
-        if not 0.0 <= self.alpha_ir <= 0.5:
-            raise ValueError("alpha must be in [0, 0.5]")
-        if self.quadrature is not None and self.quadrature not in (1, 2, 3, 4):
-            raise ValueError("quadrature must be 1..4")
-        if self.mesh_indices != sorted(self.mesh_indices):
-            raise ValueError("mesh indices must be ascending")
-
-
-def _default_output_dir():
-    return os.environ.get("SFEM2D_OUTPUT_DIR", "sfem2d-out")
 
 
 def _parse_quad(text):
@@ -142,57 +107,55 @@ def build_parser():
     return parser
 
 
-def config_from_args(args):
-    cfg = RunConfig(command=args.command)
-    if args.command != "shapefn-demo":
-        cfg.scheme = args.scheme.split(",") if "," in args.scheme else [args.scheme]
-        cfg.k_cells = args.k
-        cfg.quadrature = args.quadrature
-        cfg.split = args.split
-    if args.command in ("patch-test", "beam", "convergence"):
-        cfg.alpha_ir = args.alpha
-    if args.command in ("patch-test", "beam"):
-        cfg.seed = args.seed
-    if args.command == "beam":
-        cfg.mesh_index = args.mesh_index
-    if args.command == "convergence":
-        cfg.num_seeds = args.seeds
-        cfg.mesh_indices = args.mesh_indices
-        cfg.output_dir = args.output_dir or _default_output_dir()
+def check_args(parser, args):
+    """The argument checks argparse cannot make; each failure exits 2."""
     if args.command == "shapefn-demo":
-        cfg.quad = args.quad
-        cfg.point = args.point
-    cfg.validate()
-    return cfg
+        return
+    for s in args.scheme.split(","):
+        if s not in SCHEMES:
+            parser.error(f"unknown scheme {s!r}")
+    if not 0.0 <= args.alpha <= 0.5:
+        parser.error("alpha must be in [0, 0.5]")
+    indices = []
+    if args.command == "beam":
+        indices = [args.mesh_index]
+    if args.command == "convergence":
+        indices = args.mesh_indices
+        if indices != sorted(indices):
+            parser.error("mesh indices must be ascending")
+        if args.seeds < 1:
+            parser.error("--seeds must be at least 1")
+    length = bench.TimoshenkoBeam().length  # beam_mesh: round(index * length)
+    for mi in indices:
+        if not (np.isfinite(mi) and int(round(mi * length)) >= 1):
+            parser.error(f"mesh index {mi:g} gives no elements")
 
 
-def cmd_patch_test(cfg):
-    scheme = cfg.scheme[0]
-    distorted = cfg.alpha_ir > 0.0
-    err = bench.run_patch_test(scheme, cfg.k_cells, distorted=distorted,
-                               seed=cfg.seed, quadrature=cfg.quadrature,
-                               split=cfg.split)
+def cmd_patch_test(args):
+    distorted = args.alpha > 0.0
+    err = bench.run_patch_test(args.scheme, args.k, distorted=distorted,
+                               seed=args.seed, quadrature=args.quadrature,
+                               split=args.split)
     bound = 1e-9 if distorted else 1e-10
     kind = "distorted 3x3" if distorted else "regular 2x2"
     ok = err < bound
-    print(f"patch test ({kind}, scheme={scheme}, k={cfg.k_cells}): "
+    print(f"patch test ({kind}, scheme={args.scheme}, k={args.k}): "
           f"max interior error {err:.3e} (bound {bound:.0e}) "
           f"{'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
-def cmd_beam(cfg):
-    scheme = cfg.scheme[0]
+def cmd_beam(args):
     beam = bench.TimoshenkoBeam()
     exact = bench.exact_strain_energy(beam)
-    mesh, sol = bench.solve_beam(beam, cfg.mesh_index, scheme, cfg.k_cells,
-                                 alpha_ir=cfg.alpha_ir, seed=cfg.seed,
-                                 quadrature=cfg.quadrature, split=cfg.split)
-    err = bench.energy_norm_error(mesh, sol.u, beam, scheme, cfg.k_cells,
-                                  quadrature=cfg.quadrature, split=cfg.split)
+    mesh, sol = bench.solve_beam(beam, args.mesh_index, args.scheme, args.k,
+                                 alpha_ir=args.alpha, seed=args.seed,
+                                 quadrature=args.quadrature, split=args.split)
+    err = bench.energy_norm_error(mesh, sol.u, beam, args.scheme, args.k,
+                                  quadrature=args.quadrature, split=args.split)
     rel = abs(sol.strain_energy - exact) / exact
-    print(f"beam: scheme={scheme} k={cfg.k_cells} mesh_index={cfg.mesh_index:g} "
-          f"alpha={cfg.alpha_ir:g} seed={cfg.seed}")
+    print(f"beam: scheme={args.scheme} k={args.k} mesh_index={args.mesh_index:g} "
+          f"alpha={args.alpha:g} seed={args.seed}")
     print(f"  dofs:               {2 * mesh.num_nodes}")
     print(f"  strain energy:      {sol.strain_energy:.10g}")
     print(f"  exact energy:       {exact:.10g}  (rel. diff {rel:.3e})")
@@ -200,48 +163,51 @@ def cmd_beam(cfg):
     return 0
 
 
-def _meta_text(cfg, seeds):
-    q = {s: (cfg.quadrature or default_quadrature(s)) for s in cfg.scheme}
+def _meta_text(args, schemes, seeds):
+    q = {s: (args.quadrature or default_quadrature(s)) for s in schemes}
     lines = [
         "sfem2d convergence study settings",
-        f"schemes: {','.join(cfg.scheme)}",
-        f"smoothing cells per element (k): {cfg.k_cells}",
-        f"two-cell split bimedian: {cfg.split} "
+        f"schemes: {','.join(schemes)}",
+        f"smoothing cells per element (k): {args.k}",
+        f"two-cell split bimedian: {args.split} "
         "(midpoints of those local edges)",
         f"boundary quadrature points per segment: "
-        + ", ".join(f"{s}={q[s]}" for s in cfg.scheme),
+        + ", ".join(f"{s}={q[s]}" for s in schemes),
         "essential BC: exact cantilever displacements on the clamped "
         "section (both components)",
         "end load: consistent nodal forces of the parabolic shear, "
         "2-point Gauss per edge",
-        f"alpha_ir: {cfg.alpha_ir:g}",
+        f"alpha_ir: {args.alpha:g}",
         f"seeds: {','.join(str(s) for s in seeds)}",
         "rng: numpy PCG64 (default_rng), draws node-major, x before y, "
         "interior nodes only",
-        f"mesh indices: {','.join(f'{m:g}' for m in cfg.mesh_indices)}",
+        f"mesh indices: {','.join(f'{m:g}' for m in args.mesh_indices)}",
         "energy norm: no 1/2 factor inside the error integrand",
         "strain energy: 0.5 u^T K u including prescribed DOFs",
     ]
     return "\n".join(lines) + "\n"
 
 
-def cmd_convergence(cfg):
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    seeds = tuple(range(cfg.num_seeds))
+def cmd_convergence(args):
+    output_dir = args.output_dir or os.environ.get("SFEM2D_OUTPUT_DIR",
+                                                   "sfem2d-out")
+    os.makedirs(output_dir, exist_ok=True)
+    schemes = args.scheme.split(",")
+    seeds = tuple(range(args.seeds))
     all_records = []
     series = []
     annotations = []
-    for scheme in cfg.scheme:
+    for scheme in schemes:
         study = bench.run_convergence_study(
-            scheme, cfg.k_cells, alpha_ir=cfg.alpha_ir, seeds=seeds,
-            mesh_indices=cfg.mesh_indices, quadrature=cfg.quadrature,
-            split=cfg.split,
+            scheme, args.k, alpha_ir=args.alpha, seeds=seeds,
+            mesh_indices=args.mesh_indices, quadrature=args.quadrature,
+            split=args.split,
         )
         all_records.extend(study.records)
         xs = sorted({r.mesh_index for r in study.records})
         ys = [median([r.energy_norm_error for r in study.records
                       if r.mesh_index == mi]) for mi in xs]
-        series.append((f"{scheme} (SC{cfg.k_cells}Q4)", xs, ys))
+        series.append((f"{scheme} (SC{args.k}Q4)", xs, ys))
         annotations.append(
             f"{scheme}: slope {study.fit.slope:.3f}, "
             f"r^2 {study.fit.r_squared:.4f}"
@@ -249,24 +215,24 @@ def cmd_convergence(cfg):
         print(f"{scheme}: rate {study.fit.slope:.4f} "
               f"(r^2 {study.fit.r_squared:.5f}), "
               f"finest energy {study.records[-1].strain_energy:.8g}")
-    csv_path = os.path.join(cfg.output_dir, "convergence.csv")
+    csv_path = os.path.join(output_dir, "convergence.csv")
     bench.write_records_csv(all_records, csv_path)
-    svg_path = os.path.join(cfg.output_dir, "convergence.svg")
+    svg_path = os.path.join(output_dir, "convergence.svg")
     write_loglog_svg(
         svg_path, series, xlabel="mesh index", ylabel="energy-norm error",
-        title=f"SC{cfg.k_cells}Q4 cantilever, alpha={cfg.alpha_ir:g}",
+        title=f"SC{args.k}Q4 cantilever, alpha={args.alpha:g}",
         annotations=annotations,
     )
-    meta_path = os.path.join(cfg.output_dir, "meta.txt")
+    meta_path = os.path.join(output_dir, "meta.txt")
     with open(meta_path, "w", encoding="ascii") as fh:
-        fh.write(_meta_text(cfg, seeds))
+        fh.write(_meta_text(args, schemes, seeds))
     print(f"wrote {csv_path}, {svg_path}, {meta_path}")
     return 0
 
 
-def cmd_shapefn_demo(cfg):
-    quad = np.array(cfg.quad, dtype=float)
-    point = np.array(cfg.point, dtype=float)
+def cmd_shapefn_demo(args):
+    quad = np.array(args.quad, dtype=float)
+    point = np.array(args.point, dtype=float)
     wach = eval_wachspress(build_wachspress(quad), point)
     try:
         lagr = eval_lagrange(build_lagrange(quad), point)
@@ -283,10 +249,7 @@ def cmd_shapefn_demo(cfg):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        cfg = config_from_args(args)
-    except ValueError as err:
-        parser.error(str(err))  # exits 2
+    check_args(parser, args)
     handlers = {
         "patch-test": cmd_patch_test,
         "beam": cmd_beam,
@@ -294,7 +257,7 @@ def main(argv=None):
         "shapefn-demo": cmd_shapefn_demo,
     }
     try:
-        return handlers[cfg.command](cfg)
+        return handlers[args.command](args)
     except SfemError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

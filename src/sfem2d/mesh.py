@@ -22,8 +22,6 @@ from .errors import (
 
 log = logging.getLogger(__name__)
 
-BOUNDARY_TAGS = ("left", "right", "top", "bottom")
-
 # Local edge e of a quad runs from corner e to corner (e+1) % 4.
 EDGE_CORNERS = ((0, 1), (1, 2), (2, 3), (3, 0))
 
@@ -279,14 +277,52 @@ def concave_elements(mesh):
     return out
 
 
-def _make_cell(verts, parent):
-    verts = np.asarray(verts, dtype=float)
-    area = polygon_area(verts)
-    if area <= 0.0:
-        raise DegenerateElement(
-            f"smoothing cell of element {parent} has area {area}"
-        )
-    return SmoothingCell(vertices=verts, area=area, parent_element=parent)
+def table_sites(quad):
+    """Coordinates of the nine sites of a quad as a (9, 2) array: the
+    corners, the midpoints of sides 1-2, 2-3, 3-4, 4-1, and the bimedian
+    intersection."""
+    quad = np.asarray(quad, dtype=float)
+    n1, n2, n3, n4 = quad
+    return np.array(
+        [
+            n1,
+            n2,
+            n3,
+            n4,
+            0.5 * (n1 + n2),
+            0.5 * (n2 + n3),
+            0.5 * (n3 + n4),
+            0.5 * (n4 + n1),
+            0.25 * (n1 + n2 + n3 + n4),  # bimedians bisect each other here
+        ]
+    )
+
+
+# Bimedian subdivisions as table_sites indices, keyed by subdivision_key:
+# the CCW cells, and the site pairs of the cell-boundary segments. The
+# two-cell bimedian is kept as two segments through the center site.
+_OUTLINE = ((0, 4), (4, 1), (1, 5), (5, 2), (2, 6), (6, 3), (3, 7), (7, 0))
+CELL_SITES = {
+    (1, None): ((0, 1, 2, 3),),
+    (2, "12-34"): ((0, 4, 6, 3), (4, 1, 2, 6)),
+    (2, "23-41"): ((0, 1, 5, 7), (7, 5, 2, 3)),
+    (4, None): ((0, 4, 8, 7), (4, 1, 5, 8), (8, 5, 2, 6), (7, 8, 6, 3)),
+}
+SKELETON_SEGMENTS = {
+    (1, None): _OUTLINE,
+    (2, "12-34"): _OUTLINE + ((4, 8), (8, 6)),
+    (2, "23-41"): _OUTLINE + ((5, 8), (8, 7)),
+    (4, None): _OUTLINE + ((4, 8), (5, 8), (6, 8), (7, 8)),
+}
+
+
+def subdivision_key(k, split):
+    """Table key of a k-cell subdivision; the split matters only for k=2."""
+    if k not in (1, 2, 4):
+        raise UnsupportedSubdivision(f"k must be 1, 2 or 4, got {k}")
+    if k == 2 and split not in ("12-34", "23-41"):
+        raise ValueError(f"unknown split {split!r}")
+    return (k, split if k == 2 else None)
 
 
 def subdivide(quad, k, parent_element=-1, split="12-34"):
@@ -301,31 +337,17 @@ def subdivide(quad, k, parent_element=-1, split="12-34"):
     quad = np.asarray(quad, dtype=float)
     if quad.shape != (4, 2):
         raise ValueError("quad must be a (4, 2) coordinate array")
-    if k not in (1, 2, 4):
-        raise UnsupportedSubdivision(f"k must be 1, 2 or 4, got {k}")
-    n1, n2, n3, n4 = quad
-    if k == 1:
-        return [_make_cell(quad, parent_element)]
-    m12 = 0.5 * (n1 + n2)
-    m23 = 0.5 * (n2 + n3)
-    m34 = 0.5 * (n3 + n4)
-    m41 = 0.5 * (n4 + n1)
-    if k == 2:
-        if split == "12-34":
-            cells = [(n1, m12, m34, n4), (m12, n2, n3, m34)]
-        elif split == "23-41":
-            cells = [(n1, n2, m23, m41), (m41, m23, n3, n4)]
-        else:
-            raise ValueError(f"unknown split {split!r}")
-        return [_make_cell(c, parent_element) for c in cells]
-    center = 0.25 * (n1 + n2 + n3 + n4)  # bimedians bisect each other here
-    cells = [
-        (n1, m12, center, m41),
-        (m12, n2, m23, center),
-        (center, m23, n3, m34),
-        (m41, center, m34, n4),
-    ]
-    return [_make_cell(c, parent_element) for c in cells]
+    sites = table_sites(quad)
+    cells = []
+    for ids in CELL_SITES[subdivision_key(k, split)]:
+        verts = sites[list(ids)]
+        area = polygon_area(verts)
+        if area <= 0.0:
+            raise DegenerateElement(
+                f"smoothing cell of element {parent_element} has area {area}"
+            )
+        cells.append(SmoothingCell(verts, area, parent_element))
+    return cells
 
 
 def subdivide_adaptive(quad, k, parent_element=-1, split="12-34"):
@@ -371,23 +393,29 @@ def mesh_to_text(mesh):
 
 
 def mesh_from_text(text):
-    """Parse the plain-text mesh format produced by mesh_to_text."""
-    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
-    head = rows[0]
-    if head[0] != "nodes" or head[2] != "elements":
+    """Parse the plain-text mesh format produced by mesh_to_text; a
+    malformed line raises ValueError naming its line number."""
+    rows = [(i, ln.split()) for i, ln in enumerate(text.splitlines(), 1)
+            if ln.strip()]
+    head = rows[0][1] if rows else []
+    if len(head) != 4 or head[0] != "nodes" or head[2] != "elements":
         raise ValueError("bad header line")
     n, e = int(head[1]), int(head[3])
-    nodes = []
-    for row in rows[1 : 1 + n]:
-        nodes.append(Node(int(row[0]), float(row[1]), float(row[2])))
-    elements = []
-    for row in rows[1 + n : 1 + n + e]:
-        elements.append(Quad4Element(tuple(int(t) for t in row[1:5])))
-    boundary = []
-    for row in rows[1 + n + e :]:
-        if row[0] != "edge":
-            raise ValueError(f"expected boundary edge line, got {row}")
-        boundary.append(BoundaryEdge(int(row[1]), int(row[2]), row[3]))
+    nodes, elements, boundary = [], [], []
+    for j, (lineno, row) in enumerate(rows[1:]):
+        want = 3 if j < n else 5 if j < n + e else 4  # node, element, edge
+        if len(row) != want:
+            raise ValueError(f"line {lineno}: expected {want} fields, "
+                             f"got {len(row)}")
+        if j < n:
+            nodes.append(Node(int(row[0]), float(row[1]), float(row[2])))
+        elif j < n + e:
+            elements.append(Quad4Element(tuple(int(t) for t in row[1:])))
+        elif row[0] == "edge":
+            boundary.append(BoundaryEdge(int(row[1]), int(row[2]), row[3]))
+        else:
+            raise ValueError(f"line {lineno}: expected boundary edge line, "
+                             f"got {row}")
     return Mesh(nodes, elements, boundary)
 
 

@@ -16,7 +16,7 @@ Three schemes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +29,12 @@ from .errors import (
     SfemError,
     WedgeDegenerate,
 )
-from .mesh import polygon_area
+from .mesh import (
+    SKELETON_SEGMENTS,
+    polygon_area,
+    subdivision_key,
+    table_sites,
+)
 
 SCHEMES = ("wachspress", "averaged", "lagrange")
 
@@ -72,10 +77,6 @@ class LineEquation:
     def c(self):
         return -(self.a * self.px + self.b * self.py)
 
-    @property
-    def normal(self):
-        return np.array([self.a, self.b])
-
 
 def line_through(p, q, positive_at):
     """Unit-normalized line through p and q, sign fixed so the equation is
@@ -89,8 +90,7 @@ def line_through(p, q, positive_at):
     line = LineEquation(px=float(p[0]), py=float(p[1]), dx=float(d[0]),
                         dy=float(d[1]), norm=norm, sign=1.0)
     if line(np.asarray(positive_at, dtype=float)) < 0.0:
-        line = LineEquation(px=line.px, py=line.py, dx=line.dx, dy=line.dy,
-                            norm=norm, sign=-1.0)
+        line = replace(line, sign=-1.0)
     return line
 
 
@@ -125,8 +125,6 @@ def quad_diameter(quad):
 
 @dataclass(frozen=True, eq=False)
 class WachspressBasis:
-    node_coords: np.ndarray           # (4, 2)
-    lines: tuple                      # side lines 1-2, 2-3, 3-4, 4-1
     kappas: np.ndarray                # (4,)
     diameter: float
     # vectorized copies of the line data (anchor, direction, sign/norm)
@@ -191,7 +189,7 @@ def build_wachspress(quad):
         kappas[i] = corner * side_len[j] * side_len[k]
     kappas /= np.abs(kappas).max()  # common factor; keeps wedges O(1)
     basis = WachspressBasis(
-        quad, lines, kappas, diam,
+        kappas, diam,
         line_anchor=np.array([(ln.px, ln.py) for ln in lines]),
         line_dir=np.array([(ln.dx, ln.dy) for ln in lines]),
         line_scale=np.array([ln.sign / ln.norm for ln in lines]),
@@ -246,9 +244,7 @@ def eval_wachspress_gradient(basis, p):
 
 @dataclass(frozen=True, eq=False)
 class LagrangeBasis:
-    node_coords: np.ndarray  # (4, 2)
     coeffs: np.ndarray       # (4, 4), inverse of the nodal moment matrix
-    det: float
     center: np.ndarray       # shift applied before forming monomials
     scale: float             # extent divisor, for conditioning only
 
@@ -274,7 +270,7 @@ def build_lagrange(quad):
         raise NonExistent(
             f"nodal moment matrix is singular (|det| = {abs(det):.3g})"
         )
-    return LagrangeBasis(quad, np.linalg.inv(m), det, center, scale)
+    return LagrangeBasis(np.linalg.inv(m), center, scale)
 
 
 def eval_lagrange(basis, p):
@@ -305,41 +301,6 @@ SITE_VALUES = np.array(
 )
 
 
-def table_sites(quad):
-    """Coordinates of the nine sites of a quad as a (9, 2) array."""
-    quad = np.asarray(quad, dtype=float)
-    n1, n2, n3, n4 = quad
-    return np.array(
-        [
-            n1,
-            n2,
-            n3,
-            n4,
-            0.5 * (n1 + n2),
-            0.5 * (n2 + n3),
-            0.5 * (n3 + n4),
-            0.5 * (n4 + n1),
-            0.25 * (n1 + n2 + n3 + n4),
-        ]
-    )
-
-
-def _skeleton_segments(k, split):
-    """Site-index pairs of the cell-boundary segments for a k-subdivision."""
-    edges = [(0, 4), (4, 1), (1, 5), (5, 2), (2, 6), (6, 3), (3, 7), (7, 0)]
-    if k == 1:
-        return edges
-    if k == 2:
-        if split == "12-34":
-            return edges + [(4, 8), (8, 6)]
-        if split == "23-41":
-            return edges + [(5, 8), (8, 7)]
-        raise ValueError(f"unknown split {split!r}")
-    if k == 4:
-        return edges + [(4, 8), (5, 8), (6, 8), (7, 8)]
-    raise ValueError(f"k must be 1, 2 or 4, got {k}")
-
-
 class AveragedSkeleton:
     """Piecewise-linear site interpolation along the smoothing-cell
     boundaries of one element."""
@@ -348,7 +309,7 @@ class AveragedSkeleton:
         quad = np.asarray(quad, dtype=float)
         self.sites = table_sites(quad)
         self.diameter = quad_diameter(quad)
-        pairs = _skeleton_segments(k, split)
+        pairs = SKELETON_SEGMENTS[subdivision_key(k, split)]
         self.p0 = self.sites[[a for a, _ in pairs]]
         self.p1 = self.sites[[b for _, b in pairs]]
         self.v0 = SITE_VALUES[[a for a, _ in pairs]]

@@ -64,12 +64,6 @@ def default_quadrature(scheme):
     return 1 if scheme == "averaged" else 2
 
 
-@dataclass(frozen=True, eq=False)
-class SmoothedBMatrix:
-    entries: np.ndarray  # (3, 8)
-    cell_area: float
-
-
 def boundary_flux(cell, evaluator, n_points=2):
     """Per-node boundary integrals (bx_I, by_I) = integral of N_I * n over
     the cell boundary, as a (4, 2) array."""
@@ -96,21 +90,37 @@ def smoothed_b(cell, evaluator, n_points=2):
     if cell.area <= 0.0:
         raise ZeroArea(f"cell of element {cell.parent_element} has zero area")
     flux = boundary_flux(cell, evaluator, n_points) / cell.area
-    b = np.zeros((3, 8))
-    for i in range(4):
-        bx, by = flux[i]
-        b[0, 2 * i] = bx
-        b[1, 2 * i + 1] = by
-        b[2, 2 * i] = by
-        b[2, 2 * i + 1] = bx
-    return SmoothedBMatrix(entries=b, cell_area=cell.area)
+    b = np.zeros((3, 8))  # columns ux, uy of node 1, then node 2, ...
+    b[0, 0::2] = flux[:, 0]
+    b[1, 1::2] = flux[:, 1]
+    b[2, 0::2] = flux[:, 1]
+    b[2, 1::2] = flux[:, 0]
+    return b
+
+
+def element_b_matrices(quad, k_cells, scheme, n_points=None, split="12-34",
+                       parent_element=-1):
+    """Smoothing cells of one element and the smoothed 3x8 B matrix of
+    each, as (cells, [B]).
+
+    A strongly concave element whose requested cells would invert is
+    smoothed over fewer cells (see subdivide_adaptive).
+    """
+    if n_points is None:
+        n_points = default_quadrature(scheme)
+    cells, k_used, split_used = subdivide_adaptive(quad, k_cells,
+                                                   parent_element, split)
+    if k_used != k_cells:
+        log.debug("element too concave for %d cells; smoothed with %d",
+                  k_cells, k_used)
+    evaluator = shape_evaluator(scheme, quad, k_used, split_used)
+    return cells, [smoothed_b(cell, evaluator, n_points) for cell in cells]
 
 
 @dataclass(frozen=True, eq=False)
 class ElementStiffness:
     k: np.ndarray                # (8, 8)
     cells: list                  # SmoothingCell per smoothing domain
-    b_matrices: list             # SmoothedBMatrix per cell
     zero_modes: int              # eigenvalues below 1e-9 * max
 
     @property
@@ -126,26 +136,16 @@ def element_stiffness(quad, k_cells, scheme, material, n_points=None,
     k_cells=1 is permitted but known to carry spurious zero-energy modes;
     a rank check runs on every element and warns when they appear.
     """
-    if n_points is None:
-        n_points = default_quadrature(scheme)
-    cells, k_used, split_used = subdivide_adaptive(quad, k_cells, split=split)
-    if k_used != k_cells:
-        log.debug("element too concave for %d cells; smoothed with %d",
-                  k_cells, k_used)
-    evaluator = shape_evaluator(scheme, quad, k_used, split_used)
+    cells, bmats = element_b_matrices(quad, k_cells, scheme, n_points, split)
     d = elasticity_matrix(material)
     t = material.thickness
     k = np.zeros((8, 8))
-    bmats = []
-    for cell in cells:
-        bm = smoothed_b(cell, evaluator, n_points)
-        bmats.append(bm)
-        k += (bm.entries.T @ d @ bm.entries) * (cell.area * t)
+    for cell, b in zip(cells, bmats):
+        k += (b.T @ d @ b) * (cell.area * t)
     k = 0.5 * (k + k.T)
     eigs = np.linalg.eigvalsh(k)
     zero_modes = int(np.sum(eigs < 1e-9 * max(eigs.max(), 0.0)))
-    stiff = ElementStiffness(k=k, cells=cells, b_matrices=bmats,
-                             zero_modes=zero_modes)
+    stiff = ElementStiffness(k=k, cells=cells, zero_modes=zero_modes)
     if k_cells == 1 and stiff.spurious_modes:
         warnings.warn(
             f"single-cell smoothing leaves {stiff.spurious_modes} spurious "

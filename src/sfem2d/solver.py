@@ -21,14 +21,9 @@ from .errors import (
     SingularSystem,
     UnknownTag,
 )
-from .mesh import EDGE_CORNERS, subdivide_adaptive
+from .mesh import EDGE_CORNERS
 from .shapefn import shape_evaluator
-from .smoothing import (
-    GAUSS_1D,
-    default_quadrature,
-    element_stiffness,
-    smoothed_b,
-)
+from .smoothing import GAUSS_1D, element_b_matrices, element_stiffness
 
 
 @dataclass(frozen=True)
@@ -36,12 +31,6 @@ class DofMap:
     """Node id -> (ux, uy) global indices."""
 
     num_nodes: int
-
-    def ux(self, node):
-        return 2 * node
-
-    def uy(self, node):
-        return 2 * node + 1
 
     @property
     def total_dofs(self):
@@ -60,8 +49,6 @@ class GlobalSystem:
     stiffness: sp.csr_matrix
     load: np.ndarray
     fixed: dict = field(default_factory=dict)  # dof -> prescribed value
-    scheme: str = "wachspress"
-    k_cells: int = 4
 
 
 @dataclass(eq=False)
@@ -97,8 +84,7 @@ def assemble(mesh, scheme, k_cells, material, n_points=None, split="12-34"):
         shape=(n, n),
     ).tocsr()
     k = 0.5 * (k + k.T)
-    return GlobalSystem(mesh=mesh, stiffness=k, load=np.zeros(n),
-                        scheme=scheme, k_cells=k_cells)
+    return GlobalSystem(mesh=mesh, stiffness=k, load=np.zeros(n))
 
 
 def apply_tractions(mesh, edge_tag, traction, n_points=2, scheme="wachspress",
@@ -159,8 +145,11 @@ def apply_dirichlet(system, node_ids, displacement):
 
 def fix_dof(system, dof, value=0.0):
     """Prescribe a single degree of freedom."""
+    n = system.stiffness.shape[0]
+    if not (0 <= dof < n and dof == int(dof) and np.isfinite(value)):
+        raise ValueError(f"cannot prescribe {value} at dof {dof} of 0..{n - 1}")
     system.fixed[dof] = float(value)
-    if len(system.fixed) >= system.stiffness.shape[0]:
+    if len(system.fixed) >= n:
         raise AllDofsFixed("every degree of freedom is prescribed")
     return system
 
@@ -224,17 +213,11 @@ def solve(system):
 
 def cell_strains(mesh, u, scheme, k_cells, n_points=None, split="12-34"):
     """Smoothed strain per cell: list of (SmoothingCell, 3-vector)."""
-    if n_points is None:
-        n_points = default_quadrature(scheme)
     dofs = DofMap(mesh.num_nodes)
     out = []
     for e in range(mesh.num_elements):
-        quad = mesh.element_coords(e)
-        cells, k_used, split_used = subdivide_adaptive(
-            quad, k_cells, parent_element=e, split=split)
-        evaluator = shape_evaluator(scheme, quad, k_used, split_used)
+        cells, bmats = element_b_matrices(mesh.element_coords(e), k_cells,
+                                          scheme, n_points, split, e)
         ue = u[dofs.element_dofs(mesh.elements[e])]
-        for cell in cells:
-            bm = smoothed_b(cell, evaluator, n_points)
-            out.append((cell, bm.entries @ ue))
+        out.extend((cell, b @ ue) for cell, b in zip(cells, bmats))
     return out

@@ -22,7 +22,8 @@ from sfem2d.benchmarks import (
     solve_beam,
 )
 from sfem2d.errors import InvalidElement
-from sfem2d.smoothing import GAUSS_1D
+from sfem2d.smoothing import GAUSS_1D, element_stiffness
+from sfem2d.solver import cell_strains
 
 BEAM = TimoshenkoBeam()
 
@@ -180,6 +181,40 @@ class TestEnergyNorm:
         cell, eps = sol.per_cell_strains[0]
         assert eps.shape == (3,)
         assert cell.parent_element == 0
+
+
+class TestConcaveFallback:
+    """Seed 0 at mesh index 4 and alpha 0.5 has elements too concave for
+    four cells; strain recovery and the error pass must smooth them over
+    the same fallback cells as assembly."""
+
+    @pytest.fixture(scope="class")
+    def mesh(self):
+        return beam_mesh(BEAM, 4, 0.5, seed=0)
+
+    def test_cell_strains_use_element_stiffness_cells(self, mesh):
+        u = np.zeros(2 * mesh.num_nodes)
+        recovered = [cell for cell, _ in
+                     cell_strains(mesh, u, "wachspress", 4)]
+        expected, fallbacks = [], 0
+        for e in range(mesh.num_elements):
+            cells = element_stiffness(mesh.element_coords(e), 4,
+                                      "wachspress", BEAM.material).cells
+            expected.extend(cells)
+            fallbacks += len(cells) < 4
+        assert fallbacks == 5
+        assert len(recovered) == len(expected)
+        for got, ref in zip(recovered, expected):
+            assert np.array_equal(got.vertices, ref.vertices)
+
+    def test_error_pass_covers_the_fallback_cells(self, mesh):
+        # with u = 0 the error integrand is the exact strain energy
+        # density without the 1/2, so the fallback cells must still tile
+        # the beam for the norm to match the exact energy
+        err = energy_norm_error(mesh, np.zeros(2 * mesh.num_nodes), BEAM,
+                                "wachspress", 4)
+        assert err == pytest.approx(math.sqrt(2 * exact_strain_energy(BEAM)),
+                                    rel=1e-6)
 
 
 class TestRateFit:

@@ -93,6 +93,25 @@ class TestUsageErrors:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("alpha", ["0", "0.5"])
+    def test_zero_seeds_exit_2(self, alpha, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["convergence", "--seeds", "0", "--alpha", alpha])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["beam", "--mesh-index", "0"],
+        ["beam", "--mesh-index", "0.05"],
+        ["beam", "--mesh-index", "nan"],
+        ["convergence", "--mesh-indices", "0,1"],
+    ])
+    def test_mesh_index_without_elements_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "gives no elements" in capsys.readouterr().err
+
     def test_bad_alpha_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["beam", "--alpha", "0.9"])

@@ -228,9 +228,17 @@ class TestTextFormat:
         assert lines[5].split() == ["0", "0", "1", "3", "2"]
         assert lines[6].split()[0] == "edge"
 
-    def test_bad_header(self):
-        with pytest.raises(ValueError):
-            mesh_from_text("vertices 1 cells 0\n")
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("vertices 1 cells 0\n", "bad header", id="keywords"),
+        pytest.param("", "bad header", id="empty"),
+        pytest.param("nodes 4", "bad header", id="short-header"),
+        pytest.param("nodes 1 elements 0\n0 1.0", "line 2", id="short-row"),
+        pytest.param("nodes 1 elements 0\n\n0 1.0 2.0 3.0", "line 3",
+                     id="long-row-after-blank"),
+    ])
+    def test_bad_header(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            mesh_from_text(text)
 
 
 class TestMeshValidation:

@@ -75,7 +75,7 @@ class TestSmoothedB:
         u = np.tile([0.7, -0.3], 4)
         for cell in subdivide(quad, k):
             bm = smoothed_b(cell, ev, default_quadrature(scheme))
-            assert np.abs(bm.entries @ u).max() < 1e-12
+            assert np.abs(bm @ u).max() < 1e-12
 
     def test_linear_field_unit_square(self):
         ev = shape_evaluator("wachspress", UNIT_SQUARE, 1)
@@ -83,7 +83,7 @@ class TestSmoothedB:
         u = UNIT_SQUARE[:, 0]  # u = (x, 0)
         uvec = np.column_stack([u, np.zeros(4)]).ravel()
         bm = smoothed_b(cell, ev)
-        assert bm.entries @ uvec == pytest.approx([1.0, 0.0, 0.0], abs=1e-14)
+        assert bm @ uvec == pytest.approx([1.0, 0.0, 0.0], abs=1e-14)
 
     def test_affine_field_reproduced_on_convex_quads(self, rng):
         # smoothed strain of an interpolated affine field equals its exact
@@ -96,7 +96,7 @@ class TestSmoothedB:
             expected = [a[0, 0], a[1, 1], a[0, 1] + a[1, 0]]
             ev = shape_evaluator("wachspress", quad, 4)
             for cell in subdivide(quad, 4):
-                eps = smoothed_b(cell, ev, 2).entries @ u
+                eps = smoothed_b(cell, ev, 2) @ u
                 assert eps == pytest.approx(expected, abs=1e-10)
 
     def test_averaged_midpoint_equals_wachspress_on_square(self):
@@ -105,8 +105,8 @@ class TestSmoothedB:
         ev_a = shape_evaluator("wachspress", UNIT_SQUARE, 4)
         ev_b = shape_evaluator("averaged", UNIT_SQUARE, 4)
         for cell in subdivide(UNIT_SQUARE, 4):
-            ba = smoothed_b(cell, ev_a, 2).entries
-            bb = smoothed_b(cell, ev_b, 1).entries
+            ba = smoothed_b(cell, ev_a, 2)
+            bb = smoothed_b(cell, ev_b, 1)
             assert np.abs(ba - bb).max() < 1e-12
 
     def test_closed_boundary_normal_integral(self, rng):

@@ -126,6 +126,18 @@ class TestDirichletAndSolve:
         assert sol.residual < 1e-10
         assert np.abs(sol.u).max() < 1e-12  # no load, fully pinned
 
+    @pytest.mark.parametrize("dof, value", [
+        (-1, 0.0), (10 ** 6, 0.0), (8, 0.0), (1.5, 0.0),
+        (0, float("nan")), (0, float("inf")),
+    ])
+    def test_fix_dof_rejects_bad_dof_or_value(self, dof, value):
+        # a negative index would silently overwrite the last DOF's solution
+        system = assemble(generate_structured_mesh(1, 1, 1, 1),
+                          "wachspress", 4, MAT)
+        with pytest.raises(ValueError):
+            fix_dof(system, dof, value)
+        assert system.fixed == {}
+
     def test_identity_system(self):
         n = 6
         k = sp.identity(n, format="csr") * 3.0
