@@ -35,8 +35,6 @@ from .mesh import (
     BoundaryEdge,
     DistortionSpec,
     Mesh,
-    Node,
-    Quad4Element,
     SmoothingCell,
     distort_mesh,
     element_geometry,
@@ -71,13 +69,13 @@ from .smoothing import (
     smoothed_b,
 )
 from .solver import (
-    DofMap,
     GlobalSystem,
     Solution,
     apply_dirichlet,
     apply_tractions,
     assemble,
     cell_strains,
+    element_dofs,
     fix_dof,
     solve,
 )

@@ -30,11 +30,11 @@ from .smoothing import (
     smoothed_b,  # noqa: F401  bench/tests reads sfem2d.benchmarks.smoothed_b
 )
 from .solver import (
-    DofMap,
     apply_dirichlet,
     apply_tractions,
     assemble,
     cell_strains,
+    element_dofs,
     solve,
 )
 
@@ -152,12 +152,9 @@ def run_patch_test(scheme, k_cells, distorted=False, seed=3, quadrature=None,
                       split=split)
     apply_dirichlet(system, mesh.boundary_node_ids(), field)
     sol = solve(system)
-    err = 0.0
-    for i in mesh.interior_node_ids():
-        nd = mesh.nodes[i]
-        ex, ey = field(nd.x, nd.y)
-        err = max(err, abs(sol.u[2 * i] - ex), abs(sol.u[2 * i + 1] - ey))
-    return err
+    interior = mesh.interior_node_ids()
+    exact = np.column_stack(field(*mesh.coords[interior].T))
+    return np.abs(sol.u.reshape(-1, 2)[interior] - exact).max()
 
 
 def beam_mesh(beam, mesh_index, alpha_ir=0.0, seed=0, max_retries=10):
@@ -225,12 +222,12 @@ def energy_norm_error(mesh, u, beam, scheme, k_cells, quadrature=None,
     per cell. No 1/2 factor inside the integrand.
     """
     d = elasticity_matrix(beam.material)
-    dofs = DofMap(mesh.num_nodes)
+    edofs = element_dofs(mesh)
     total = 0.0
-    for e in range(mesh.num_elements):
-        cells, bmats = element_b_matrices(mesh.element_coords(e), k_cells,
-                                          scheme, quadrature, split, e)
-        ue = u[dofs.element_dofs(mesh.elements[e])]
+    for e, quad in enumerate(mesh.coords[mesh.conn]):
+        cells, bmats = element_b_matrices(quad, k_cells, scheme, quadrature,
+                                          split, e)
+        ue = u[edofs[e]]
         for cell, b in zip(cells, bmats):
             eh = b @ ue
             verts = cell.vertices
@@ -270,6 +267,8 @@ class RateFit:
 
 def fit_rate(records):
     """Least-squares slope of log(error) against log(h), h = 1/mesh_index."""
+    if len({r.mesh_index for r in records}) < 2:
+        raise ValueError("a rate fit needs at least two distinct mesh indices")
     h = np.log([1.0 / r.mesh_index for r in records])
     err = np.log([r.energy_norm_error for r in records])
     slope, intercept = np.polyfit(h, err, 1)

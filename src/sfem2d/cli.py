@@ -123,6 +123,8 @@ def check_args(parser, args):
         indices = args.mesh_indices
         if indices != sorted(indices):
             parser.error("mesh indices must be ascending")
+        if len(set(indices)) < 2:
+            parser.error("a rate fit needs at least two distinct mesh indices")
         if args.seeds < 1:
             parser.error("--seeds must be at least 1")
     length = bench.TimoshenkoBeam().length  # beam_mesh: round(index * length)

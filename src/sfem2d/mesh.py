@@ -27,20 +27,6 @@ EDGE_CORNERS = ((0, 1), (1, 2), (2, 3), (3, 0))
 
 
 @dataclass(frozen=True)
-class Node:
-    id: int
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
-class Quad4Element:
-    """Four node indices in counter-clockwise order."""
-
-    node_ids: tuple[int, int, int, int]
-
-
-@dataclass(frozen=True)
 class BoundaryEdge:
     element: int
     local_edge: int
@@ -71,65 +57,55 @@ class SmoothingCell:
 
 
 class Mesh:
-    """Nodes, CCW quad connectivity, and tagged boundary edges."""
+    """Node coordinates (N, 2), CCW quad connectivity (E, 4), boundary edges."""
 
-    def __init__(self, nodes, elements, boundary_edges):
-        self.nodes = list(nodes)
-        self.elements = list(elements)
+    def __init__(self, coords, conn, boundary_edges):
+        self.coords = np.array(coords, dtype=float).reshape(-1, 2)
+        self.conn = np.array(conn, dtype=int).reshape(-1, 4)
         self.boundary_edges = list(boundary_edges)
         self._validate()
 
     def _validate(self):
-        n = len(self.nodes)
-        ids = [nd.id for nd in self.nodes]
-        if ids != list(range(n)):
-            raise ValueError("node ids must be 0..N-1 in order")
-        for e, el in enumerate(self.elements):
-            if len(set(el.node_ids)) != 4:
-                raise InvalidElement(e, "repeated node id")
-            if any(not 0 <= i < n for i in el.node_ids):
-                raise InvalidElement(e, "node id out of range")
+        n, ne = self.num_nodes, self.num_elements
+        if not np.isfinite(self.coords).all():
+            raise ValueError("node coordinates must be finite")
+        srt = np.sort(self.conn, axis=1)
+        repeated = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+        out_of_range = ((self.conn < 0) | (self.conn >= n)).any(axis=1)
+        bad = np.flatnonzero(repeated | out_of_range)
+        if bad.size:
+            e = int(bad[0])
+            raise InvalidElement(e, "repeated node id" if repeated[e]
+                                 else "node id out of range")
         seen = set()
         for be in self.boundary_edges:
             key = (be.element, be.local_edge)
+            if not (0 <= be.element < ne and 0 <= be.local_edge < 4):
+                raise ValueError(f"boundary edge {key} out of range")
             if key in seen:
                 raise ValueError(f"duplicate boundary edge {key}")
             seen.add(key)
 
     @property
     def num_nodes(self):
-        return len(self.nodes)
+        return len(self.coords)
 
     @property
     def num_elements(self):
-        return len(self.elements)
-
-    def coords(self):
-        """All node coordinates as an (N, 2) array."""
-        return np.array([(nd.x, nd.y) for nd in self.nodes], dtype=float)
-
-    def element_coords(self, e):
-        """Corner coordinates of element e as a (4, 2) CCW array."""
-        el = self.elements[e]
-        return np.array(
-            [(self.nodes[i].x, self.nodes[i].y) for i in el.node_ids], dtype=float
-        )
+        return len(self.conn)
 
     def boundary_node_ids(self, tag=None):
         """Ids of nodes lying on tagged boundary edges (all tags by default)."""
         out = set()
         for be in self.boundary_edges:
-            if tag is not None and be.tag != tag:
-                continue
-            a, b = EDGE_CORNERS[be.local_edge]
-            el = self.elements[be.element]
-            out.add(el.node_ids[a])
-            out.add(el.node_ids[b])
+            if tag is None or be.tag == tag:
+                corners = list(EDGE_CORNERS[be.local_edge])
+                out.update(self.conn[be.element, corners].tolist())
         return sorted(out)
 
     def interior_node_ids(self):
-        on_boundary = set(self.boundary_node_ids())
-        return [nd.id for nd in self.nodes if nd.id not in on_boundary]
+        return np.setdiff1d(np.arange(self.num_nodes),
+                            self.boundary_node_ids())
 
 
 def polygon_area(pts):
@@ -204,22 +180,14 @@ def generate_structured_mesh(nx, ny, length, height):
         raise ValueError("length and height must be positive")
     xs = np.linspace(0.0, length, nx + 1)
     ys = np.linspace(-height / 2.0, height / 2.0, ny + 1)
-    nodes = []
-    for j in range(ny + 1):
-        for i in range(nx + 1):
-            nodes.append(Node(id=j * (nx + 1) + i, x=float(xs[i]), y=float(ys[j])))
-
-    def nid(i, j):
-        return j * (nx + 1) + i
-
-    elements = []
+    coords = np.column_stack([np.tile(xs, ny + 1), np.repeat(ys, nx + 1)])
+    nid = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)  # [j, i]
+    conn = np.column_stack([nid[:-1, :-1].ravel(), nid[:-1, 1:].ravel(),
+                            nid[1:, 1:].ravel(), nid[1:, :-1].ravel()])
     boundary = []
     for j in range(ny):
         for i in range(nx):
-            e = len(elements)
-            elements.append(
-                Quad4Element((nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)))
-            )
+            e = j * nx + i
             if j == 0:
                 boundary.append(BoundaryEdge(e, 0, "bottom"))
             if i == nx - 1:
@@ -228,7 +196,7 @@ def generate_structured_mesh(nx, ny, length, height):
                 boundary.append(BoundaryEdge(e, 2, "top"))
             if i == 0:
                 boundary.append(BoundaryEdge(e, 3, "left"))
-    return Mesh(nodes, elements, boundary)
+    return Mesh(coords, conn, boundary)
 
 
 def distort_mesh(mesh, spec, dx, dy):
@@ -242,20 +210,12 @@ def distort_mesh(mesh, spec, dx, dy):
     concave_elements).
     """
     rng = np.random.default_rng(spec.seed)
-    interior = set(mesh.interior_node_ids())
-    new_nodes = []
-    for nd in mesh.nodes:
-        if nd.id in interior:
-            rx = rng.random()
-            ry = rng.random()
-            x = nd.x + (2.0 * rx - 1.0) * spec.alpha_ir * dx
-            y = nd.y + (2.0 * ry - 1.0) * spec.alpha_ir * dy
-            new_nodes.append(Node(nd.id, x, y))
-        else:
-            new_nodes.append(nd)
-    out = Mesh(new_nodes, mesh.elements, mesh.boundary_edges)
-    for e in range(out.num_elements):
-        quad = out.element_coords(e)
+    interior = mesh.interior_node_ids()
+    r = rng.random((len(interior), 2))  # row-major: node-major, x before y
+    coords = mesh.coords.copy()
+    coords[interior] += (2.0 * r - 1.0) * spec.alpha_ir * np.array([dx, dy])
+    out = Mesh(coords, mesh.conn, mesh.boundary_edges)
+    for e, quad in enumerate(coords[mesh.conn]):
         if polygon_area(quad) <= 0.0:
             raise InvalidElement(e, "distortion inverted the element")
         if not is_simple_quad(quad):
@@ -270,8 +230,8 @@ def distort_mesh(mesh, spec, dx, dy):
 def concave_elements(mesh):
     """Indices of simple but non-convex elements."""
     out = []
-    for e in range(mesh.num_elements):
-        _, _, convex = element_geometry(mesh.element_coords(e))
+    for e, quad in enumerate(mesh.coords[mesh.conn]):
+        _, _, convex = element_geometry(quad)
         if not convex:
             out.append(e)
     return out
@@ -383,10 +343,10 @@ def mesh_to_text(mesh):
     per boundary edge.
     """
     lines = [f"nodes {mesh.num_nodes} elements {mesh.num_elements}"]
-    for nd in mesh.nodes:
-        lines.append(f"{nd.id} {nd.x:.17g} {nd.y:.17g}")
-    for e, el in enumerate(mesh.elements):
-        lines.append(f"{e} {el.node_ids[0]} {el.node_ids[1]} {el.node_ids[2]} {el.node_ids[3]}")
+    for i, (x, y) in enumerate(mesh.coords.tolist()):
+        lines.append(f"{i} {x:.17g} {y:.17g}")
+    for e, (a, b, c, d) in enumerate(mesh.conn.tolist()):
+        lines.append(f"{e} {a} {b} {c} {d}")
     for be in mesh.boundary_edges:
         lines.append(f"edge {be.element} {be.local_edge} {be.tag}")
     return "\n".join(lines) + "\n"
@@ -401,22 +361,24 @@ def mesh_from_text(text):
     if len(head) != 4 or head[0] != "nodes" or head[2] != "elements":
         raise ValueError("bad header line")
     n, e = int(head[1]), int(head[3])
-    nodes, elements, boundary = [], [], []
+    coords, conn, boundary = [], [], []
     for j, (lineno, row) in enumerate(rows[1:]):
         want = 3 if j < n else 5 if j < n + e else 4  # node, element, edge
         if len(row) != want:
             raise ValueError(f"line {lineno}: expected {want} fields, "
                              f"got {len(row)}")
         if j < n:
-            nodes.append(Node(int(row[0]), float(row[1]), float(row[2])))
+            if int(row[0]) != j:
+                raise ValueError(f"line {lineno}: expected node id {j}")
+            coords.append((float(row[1]), float(row[2])))
         elif j < n + e:
-            elements.append(Quad4Element(tuple(int(t) for t in row[1:])))
+            conn.append([int(t) for t in row[1:]])
         elif row[0] == "edge":
             boundary.append(BoundaryEdge(int(row[1]), int(row[2]), row[3]))
         else:
             raise ValueError(f"line {lineno}: expected boundary edge line, "
                              f"got {row}")
-    return Mesh(nodes, elements, boundary)
+    return Mesh(coords, conn, boundary)
 
 
 def write_mesh_text(mesh, path):

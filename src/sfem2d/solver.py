@@ -26,21 +26,10 @@ from .shapefn import shape_evaluator
 from .smoothing import GAUSS_1D, element_b_matrices, element_stiffness
 
 
-@dataclass(frozen=True)
-class DofMap:
-    """Node id -> (ux, uy) global indices."""
-
-    num_nodes: int
-
-    @property
-    def total_dofs(self):
-        return 2 * self.num_nodes
-
-    def element_dofs(self, element):
-        out = []
-        for n in element.node_ids:
-            out.extend((2 * n, 2 * n + 1))
-        return np.array(out)
+def element_dofs(mesh):
+    """Global DOFs of every element, (E, 8): ux, uy of each corner node in
+    connectivity order."""
+    return np.stack([2 * mesh.conn, 2 * mesh.conn + 1], axis=2).reshape(-1, 8)
 
 
 @dataclass(eq=False)
@@ -63,26 +52,22 @@ class Solution:
 
 def assemble(mesh, scheme, k_cells, material, n_points=None, split="12-34"):
     """Scatter element stiffness into a sparse symmetric global matrix."""
-    dofs = DofMap(mesh.num_nodes)
-    rows, cols, vals = [], [], []
-    for e in range(mesh.num_elements):
+    vals = []
+    for e, quad in enumerate(mesh.coords[mesh.conn]):
         try:
             ke = element_stiffness(
-                mesh.element_coords(e), k_cells, scheme, material,
+                quad, k_cells, scheme, material,
                 n_points=n_points, split=split,
             )
         except SfemError as err:
             raise type(err)(f"element {e}: {err}") from err
-        edofs = dofs.element_dofs(mesh.elements[e])
-        idx = np.repeat(edofs, 8)
-        rows.append(idx)
-        cols.append(np.tile(edofs, 8))
         vals.append(ke.k.ravel())
-    n = dofs.total_dofs
-    k = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
+    edofs = element_dofs(mesh)
+    rows = np.repeat(edofs, 8, axis=1).ravel()  # ke row-major
+    cols = np.tile(edofs, 8).ravel()
+    n = 2 * mesh.num_nodes
+    k = sp.coo_matrix((np.concatenate(vals), (rows, cols)),
+                      shape=(n, n)).tocsr()
     k = 0.5 * (k + k.T)
     return GlobalSystem(mesh=mesh, stiffness=k, load=np.zeros(n))
 
@@ -103,8 +88,8 @@ def apply_tractions(mesh, edge_tag, traction, n_points=2, scheme="wachspress",
     load = np.zeros(2 * mesh.num_nodes)
     xi, wq = GAUSS_1D[n_points]
     for be in edges:
-        el = mesh.elements[be.element]
-        quad = mesh.element_coords(be.element)
+        nodes = mesh.conn[be.element]
+        quad = mesh.coords[nodes]
         a, b = EDGE_CORNERS[be.local_edge]
         v0, v1 = quad[a], quad[b]
         edge = v1 - v0
@@ -114,7 +99,7 @@ def apply_tractions(mesh, edge_tag, traction, n_points=2, scheme="wachspress",
         weights = 0.5 * length * wq
         if scheme == "lagrange":
             nvals = np.asarray(shape_evaluator(scheme, quad, k_cells)(pts))
-            for i, node in enumerate(el.node_ids):
+            for i, node in enumerate(nodes):
                 fi = (weights * nvals[:, i]) @ tvals
                 load[2 * node : 2 * node + 2] += fi
         else:
@@ -122,7 +107,7 @@ def apply_tractions(mesh, edge_tag, traction, n_points=2, scheme="wachspress",
             shape_b = 0.5 * (1.0 + xi)
             fa = (weights * shape_a) @ tvals
             fb = (weights * shape_b) @ tvals
-            na, nb = el.node_ids[a], el.node_ids[b]
+            na, nb = nodes[a], nodes[b]
             load[2 * na : 2 * na + 2] += fa
             load[2 * nb : 2 * nb + 2] += fb
     return load
@@ -132,8 +117,7 @@ def apply_dirichlet(system, node_ids, displacement):
     """Prescribe both displacement components of the given nodes from
     ``displacement(x, y) -> (ux, uy)``. Returns the system for chaining."""
     for n in node_ids:
-        nd = system.mesh.nodes[n]
-        ux, uy = displacement(nd.x, nd.y)
+        ux, uy = displacement(*system.mesh.coords[n])
         if not (np.isfinite(ux) and np.isfinite(uy)):
             raise ValueError(f"prescribed displacement at node {n} not finite")
         system.fixed[2 * n] = float(ux)
@@ -213,11 +197,11 @@ def solve(system):
 
 def cell_strains(mesh, u, scheme, k_cells, n_points=None, split="12-34"):
     """Smoothed strain per cell: list of (SmoothingCell, 3-vector)."""
-    dofs = DofMap(mesh.num_nodes)
+    edofs = element_dofs(mesh)
     out = []
-    for e in range(mesh.num_elements):
-        cells, bmats = element_b_matrices(mesh.element_coords(e), k_cells,
-                                          scheme, n_points, split, e)
-        ue = u[dofs.element_dofs(mesh.elements[e])]
+    for e, quad in enumerate(mesh.coords[mesh.conn]):
+        cells, bmats = element_b_matrices(quad, k_cells, scheme, n_points,
+                                          split, e)
+        ue = u[edofs[e]]
         out.extend((cell, b @ ue) for cell, b in zip(cells, bmats))
     return out

@@ -117,7 +117,7 @@ class TestBeamMesh:
     def test_mesh_index_to_grid(self):
         mesh = beam_mesh(BEAM, 2.0)
         assert mesh.num_elements == 16 * 8
-        xs = sorted({nd.x for nd in mesh.nodes})
+        xs = sorted(set(mesh.coords[:, 0].tolist()))
         assert xs[1] - xs[0] == pytest.approx(0.5)
 
     def test_distortion_reseeds_on_invalid(self, monkeypatch, caplog):
@@ -198,7 +198,7 @@ class TestConcaveFallback:
                      cell_strains(mesh, u, "wachspress", 4)]
         expected, fallbacks = [], 0
         for e in range(mesh.num_elements):
-            cells = element_stiffness(mesh.element_coords(e), 4,
+            cells = element_stiffness(mesh.coords[mesh.conn[e]], 4,
                                       "wachspress", BEAM.material).cells
             expected.extend(cells)
             fallbacks += len(cells) < 4
@@ -228,6 +228,16 @@ class TestRateFit:
         assert fit.slope == pytest.approx(1.03, abs=1e-12)
         assert fit.intercept == pytest.approx(math.log(0.37), abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("indices", [(1.0,), (1.0, 1.0)],
+                             ids=["one", "repeated"])
+    def test_two_distinct_indices_required(self, indices):
+        # one distinct h leaves the log-log line undetermined
+        records = [ConvergenceRecord("wachspress", 4, 0.5, s, mi, 100, 0.0,
+                                     0.1 + 0.01 * s)
+                   for s, mi in enumerate(indices)]
+        with pytest.raises(ValueError, match="two distinct"):
+            fit_rate(records)
 
     def test_ascending_required(self):
         with pytest.raises(ValueError):

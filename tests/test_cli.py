@@ -112,6 +112,13 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "gives no elements" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("indices", ["1", "1,1"])
+    def test_single_distinct_mesh_index_exit_2(self, indices, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["convergence", "--mesh-indices", indices])
+        assert exc.value.code == 2
+        assert "two distinct" in capsys.readouterr().err
+
     def test_bad_alpha_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["beam", "--alpha", "0.9"])

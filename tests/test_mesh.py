@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sfem2d.errors import (
     DegenerateElement,
@@ -12,8 +14,6 @@ from sfem2d.mesh import (
     BoundaryEdge,
     DistortionSpec,
     Mesh,
-    Node,
-    Quad4Element,
     concave_elements,
     distort_mesh,
     element_geometry,
@@ -31,10 +31,10 @@ from conftest import PARALLELOGRAM, UNIT_SQUARE, random_simple_quad
 class TestStructuredMesh:
     def test_single_cell_grid(self):
         m = generate_structured_mesh(1, 1, 1, 1)
-        coords = sorted((n.x, n.y) for n in m.nodes)
+        coords = sorted(map(tuple, m.coords.tolist()))
         assert coords == [(0.0, -0.5), (0.0, 0.5), (1.0, -0.5), (1.0, 0.5)]
         assert m.num_elements == 1
-        assert polygon_area(m.element_coords(0)) > 0
+        assert polygon_area(m.coords[m.conn[0]]) > 0
 
     def test_beam_mesh_index_definition(self):
         # mesh index = elements along x / domain length
@@ -45,8 +45,8 @@ class TestStructuredMesh:
 
     def test_uniform_spacing(self):
         m = generate_structured_mesh(2, 1, 8, 4)
-        assert m.nodes[1].x - m.nodes[0].x == 4.0
-        assert m.nodes[3].y - m.nodes[0].y == 4.0
+        assert m.coords[1, 0] - m.coords[0, 0] == 4.0
+        assert m.coords[3, 1] - m.coords[0, 1] == 4.0
 
     def test_boundary_tags(self):
         m = generate_structured_mesh(3, 2, 3, 2)
@@ -62,7 +62,7 @@ class TestStructuredMesh:
     def test_elements_ccw(self):
         m = generate_structured_mesh(4, 3, 2, 1.5)
         for e in range(m.num_elements):
-            assert polygon_area(m.element_coords(e)) > 0
+            assert polygon_area(m.coords[m.conn[e]]) > 0
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -75,26 +75,24 @@ class TestDistortion:
     def test_zero_alpha_is_identity(self):
         m = generate_structured_mesh(4, 4, 1, 1)
         out = distort_mesh(m, DistortionSpec(0.0, 7), 0.25, 0.25)
-        assert all(
-            (a.x, a.y) == (b.x, b.y) for a, b in zip(m.nodes, out.nodes)
-        )
+        assert np.array_equal(m.coords, out.coords)
 
     def test_displacement_bound_and_boundary_fixed(self):
         m = generate_structured_mesh(6, 6, 3, 3)
         out = distort_mesh(m, DistortionSpec(0.5, 11), 0.5, 0.5)
         boundary = set(m.boundary_node_ids())
-        for a, b in zip(m.nodes, out.nodes):
-            if a.id in boundary:
-                assert (a.x, a.y) == (b.x, b.y)
+        for i, (a, b) in enumerate(zip(m.coords, out.coords)):
+            if i in boundary:
+                assert tuple(a) == tuple(b)
             else:
-                assert abs(b.x - a.x) < 0.5 * 0.5
-                assert abs(b.y - a.y) < 0.5 * 0.5
+                assert abs(b[0] - a[0]) < 0.5 * 0.5
+                assert abs(b[1] - a[1]) < 0.5 * 0.5
 
     def test_determinism(self):
         m = generate_structured_mesh(5, 5, 1, 1)
         a = distort_mesh(m, DistortionSpec(0.4, 123), 0.2, 0.2)
         b = distort_mesh(m, DistortionSpec(0.4, 123), 0.2, 0.2)
-        assert [(n.x, n.y) for n in a.nodes] == [(n.x, n.y) for n in b.nodes]
+        assert a.coords.tolist() == b.coords.tolist()
 
     def test_draw_order_node_major_x_first(self):
         # 2x2 grid has a single interior node; its displacement must use
@@ -104,12 +102,12 @@ class TestDistortion:
         gen = np.random.default_rng(42)
         rx, ry = gen.random(), gen.random()
         (i,) = m.interior_node_ids()
-        assert out.nodes[i].x == m.nodes[i].x + (2 * rx - 1) * 0.3 * 0.5
-        assert out.nodes[i].y == m.nodes[i].y + (2 * ry - 1) * 0.3 * 0.5
+        assert out.coords[i, 0] == m.coords[i, 0] + (2 * rx - 1) * 0.3 * 0.5
+        assert out.coords[i, 1] == m.coords[i, 1] + (2 * ry - 1) * 0.3 * 0.5
 
     def test_self_intersecting_element_rejected(self):
-        nodes = [Node(0, 0, 0), Node(1, 1, 0), Node(2, 0, 1), Node(3, 1, 1)]
-        bowtie = Mesh(nodes, [Quad4Element((0, 1, 2, 3))], [])
+        coords = [(0, 0), (1, 0), (0, 1), (1, 1)]
+        bowtie = Mesh(coords, [(0, 1, 2, 3)], [])
         with pytest.raises(InvalidElement) as exc:
             distort_mesh(bowtie, DistortionSpec(0.0, 0), 1.0, 1.0)
         assert exc.value.element_index == 0
@@ -212,12 +210,8 @@ class TestTextFormat:
         m = generate_structured_mesh(3, 2, 2.0, 1.0)
         m = distort_mesh(m, DistortionSpec(0.37, 5), 2.0 / 3, 0.5)
         back = mesh_from_text(mesh_to_text(m))
-        assert [(n.id, n.x, n.y) for n in back.nodes] == [
-            (n.id, n.x, n.y) for n in m.nodes
-        ]
-        assert [e.node_ids for e in back.elements] == [
-            e.node_ids for e in m.elements
-        ]
+        assert back.coords.tolist() == m.coords.tolist()
+        assert back.conn.tolist() == m.conn.tolist()
         assert back.boundary_edges == m.boundary_edges
 
     def test_format_layout(self):
@@ -235,6 +229,8 @@ class TestTextFormat:
         pytest.param("nodes 1 elements 0\n0 1.0", "line 2", id="short-row"),
         pytest.param("nodes 1 elements 0\n\n0 1.0 2.0 3.0", "line 3",
                      id="long-row-after-blank"),
+        pytest.param("nodes 2 elements 0\n0 0 0\n2 1 0", "line 3",
+                     id="node-id-out-of-order"),
     ])
     def test_bad_header(self, text, message):
         with pytest.raises(ValueError, match=message):
@@ -243,16 +239,67 @@ class TestTextFormat:
 
 class TestMeshValidation:
     def test_repeated_node_id(self):
-        nodes = [Node(i, float(i), 0.0) for i in range(4)]
+        coords = [(float(i), 0.0) for i in range(4)]
         with pytest.raises(InvalidElement):
-            Mesh(nodes, [Quad4Element((0, 1, 2, 2))], [])
+            Mesh(coords, [(0, 1, 2, 2)], [])
 
     def test_out_of_range_node(self):
-        nodes = [Node(i, float(i), 0.0) for i in range(4)]
+        coords = [(float(i), 0.0) for i in range(4)]
         with pytest.raises(InvalidElement):
-            Mesh(nodes, [Quad4Element((0, 1, 2, 9))], [])
+            Mesh(coords, [(0, 1, 2, 9)], [])
 
     def test_duplicate_boundary_edge(self):
         m = generate_structured_mesh(1, 1, 1, 1)
         with pytest.raises(ValueError):
-            Mesh(m.nodes, m.elements, [BoundaryEdge(0, 0, "bottom")] * 2)
+            Mesh(m.coords, m.conn, [BoundaryEdge(0, 0, "bottom")] * 2)
+
+    @pytest.mark.parametrize("node1, edge, message", [
+        ("1 1 0", "edge 5 0 left", "out of range"),
+        ("1 1 0", "edge -1 0 left", "out of range"),
+        ("1 1 0", "edge 0 7 left", "out of range"),
+        ("1 nan 0", "edge 0 3 left", "finite"),
+    ], ids=["element-past-end", "negative-element", "local-edge", "nan"])
+    def test_bad_edge_or_coordinate(self, node1, edge, message):
+        text = (f"nodes 4 elements 1\n0 0 0\n{node1}\n2 1 1\n3 0 1\n"
+                f"0 0 1 2 3\n{edge}\n")
+        with pytest.raises(ValueError, match=message):
+            mesh_from_text(text)
+
+
+GRIDS = dict(nx=st.integers(1, 8), ny=st.integers(1, 8),
+             alpha=st.floats(0.0, 0.5), seed=st.integers(0, 2 ** 32 - 1))
+
+
+def distorted_grid(nx, ny, alpha, seed):
+    m = generate_structured_mesh(nx, ny, 2.0, 1.0)
+    try:
+        out = distort_mesh(m, DistortionSpec(alpha, seed), 2.0 / nx, 1.0 / ny)
+    except InvalidElement:
+        assume(False)
+    return m, out
+
+
+class TestMeshProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(**GRIDS)
+    def test_distortion_equals_per_node_draws(self, nx, ny, alpha, seed):
+        m, out = distorted_grid(nx, ny, alpha, seed)
+        rng = np.random.default_rng(seed)
+        boundary = set(m.boundary_node_ids())
+        expected = []
+        for i, (x, y) in enumerate(m.coords.tolist()):
+            if i not in boundary:
+                rx, ry = rng.random(), rng.random()
+                x += (2.0 * rx - 1.0) * alpha * (2.0 / nx)
+                y += (2.0 * ry - 1.0) * alpha * (1.0 / ny)
+            expected.append([x, y])
+        assert out.coords.tolist() == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(**GRIDS)
+    def test_text_round_trip(self, nx, ny, alpha, seed):
+        _, m = distorted_grid(nx, ny, alpha, seed)
+        back = mesh_from_text(mesh_to_text(m))
+        assert back.coords.tolist() == m.coords.tolist()
+        assert back.conn.tolist() == m.conn.tolist()
+        assert back.boundary_edges == m.boundary_edges

@@ -8,12 +8,12 @@ from sfem2d.errors import AllDofsFixed, SingularSystem, UnknownTag
 from sfem2d.mesh import generate_structured_mesh
 from sfem2d.smoothing import MaterialModel, element_stiffness
 from sfem2d.solver import (
-    DofMap,
     GlobalSystem,
     apply_dirichlet,
     apply_tractions,
     assemble,
     cell_strains,
+    element_dofs,
     fix_dof,
     solve,
 )
@@ -29,8 +29,8 @@ class TestAssemble:
     def test_single_element_equals_element_stiffness(self):
         m = generate_structured_mesh(1, 1, 1, 1)
         system = assemble(m, "wachspress", 4, MAT)
-        ke = element_stiffness(m.element_coords(0), 4, "wachspress", MAT)
-        edofs = DofMap(m.num_nodes).element_dofs(m.elements[0])
+        ke = element_stiffness(m.coords[m.conn[0]], 4, "wachspress", MAT)
+        edofs = element_dofs(m)[0]
         scattered = np.zeros((8, 8))
         scattered[np.ix_(edofs, edofs)] = ke.k
         assert np.abs(system.stiffness.toarray() - scattered).max() < 1e-12
@@ -38,11 +38,10 @@ class TestAssemble:
     def test_two_element_additivity(self):
         m = generate_structured_mesh(2, 1, 2, 1)
         system = assemble(m, "wachspress", 4, MAT)
-        dofs = DofMap(m.num_nodes)
-        expected = np.zeros((dofs.total_dofs, dofs.total_dofs))
+        expected = np.zeros((2 * m.num_nodes, 2 * m.num_nodes))
         for e in range(2):
-            ke = element_stiffness(m.element_coords(e), 4, "wachspress", MAT)
-            ed = dofs.element_dofs(m.elements[e])
+            ke = element_stiffness(m.coords[m.conn[e]], 4, "wachspress", MAT)
+            ed = element_dofs(m)[e]
             expected[np.ix_(ed, ed)] += ke.k
         assert np.abs(system.stiffness.toarray() - expected).max() < 1e-12
 
@@ -58,10 +57,9 @@ class TestAssemble:
     def test_element_error_annotated(self):
         m = generate_structured_mesh(2, 1, 2, 1)
         # corrupt the second element into a bowtie
-        from sfem2d.mesh import Mesh, Quad4Element
+        from sfem2d.mesh import Mesh
 
-        els = [m.elements[0], Quad4Element((1, 2, 4, 5))]
-        bad = Mesh(m.nodes, els, [])
+        bad = Mesh(m.coords, [m.conn[0], (1, 2, 4, 5)], [])
         from sfem2d.errors import SfemError
 
         with pytest.raises(SfemError, match="element 1"):
@@ -105,8 +103,7 @@ class TestDirichletAndSolve:
         apply_dirichlet(system, m.boundary_node_ids(), linear_field)
         sol = solve(system)
         for i in m.interior_node_ids():
-            nd = m.nodes[i]
-            ex, ey = linear_field(nd.x, nd.y)
+            ex, ey = linear_field(*m.coords[i])
             assert sol.u[2 * i] == pytest.approx(ex, abs=1e-12)
             assert sol.u[2 * i + 1] == pytest.approx(ey, abs=1e-12)
 
@@ -158,7 +155,7 @@ class TestDirichletAndSolve:
             fix_dof(system, 2 * n, 0.0)
         fix_dof(system, 2 * left[0] + 1, 0.0)
         sol = solve(system)
-        xs = np.array([nd.x for nd in m.nodes])
+        xs = m.coords[:, 0]
         assert np.abs(sol.u[0::2] - sigma / 100.0 * xs).max() < 1e-12
         assert np.abs(sol.u[1::2]).max() < 1e-12
         assert sol.strain_energy == pytest.approx(0.5 * sigma ** 2 / 100.0)
@@ -192,7 +189,7 @@ class TestDirichletAndSolve:
 class TestCellStrains:
     def test_linear_field_constant_strain(self):
         m = generate_structured_mesh(2, 2, 1, 1)
-        coords = m.coords()
+        coords = m.coords
         # u = (0.2 x + 0.1 y, -0.05 x + 0.3 y): strain (0.2, 0.3, 0.05)
         u = np.column_stack(
             [0.2 * coords[:, 0] + 0.1 * coords[:, 1],
