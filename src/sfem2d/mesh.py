@@ -9,6 +9,7 @@ quadrilateral smoothing cells by its bimedians.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -77,6 +78,11 @@ class Mesh:
             e = int(bad[0])
             raise InvalidElement(e, "repeated node id" if repeated[e]
                                  else "node id out of range")
+        # owners[e, l]: how many element edges join the nodes of edge l of e
+        pairs = np.sort(self.conn[:, EDGE_CORNERS], axis=2).reshape(-1, 2)
+        _, inverse, counts = np.unique(pairs[:, 0] * n + pairs[:, 1],
+                                       return_inverse=True, return_counts=True)
+        owners = counts[inverse].reshape(-1, 4)
         seen = set()
         for be in self.boundary_edges:
             key = (be.element, be.local_edge)
@@ -84,6 +90,9 @@ class Mesh:
                 raise ValueError(f"boundary edge {key} out of range")
             if key in seen:
                 raise ValueError(f"duplicate boundary edge {key}")
+            if owners[key] > 1:
+                raise ValueError(f"boundary edge {key} is shared by two "
+                                 "elements")
             seen.add(key)
 
     @property
@@ -108,47 +117,48 @@ class Mesh:
                             self.boundary_node_ids())
 
 
+@functools.cache
+def vertex_successors(m):
+    """Read-only index of each vertex's successor around an m-gon."""
+    nxt = np.roll(np.arange(m), -1)
+    nxt.flags.writeable = False
+    return nxt
+
+
 def polygon_area(pts):
     """Signed shoelace area of a closed CCW polygon given as (m, 2)."""
     pts = np.asarray(pts, dtype=float)
     x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+    nxt = vertex_successors(len(pts))
+    return 0.5 * float(np.dot(x, y[nxt]) - np.dot(x[nxt], y))
 
 
 def polygon_centroid(pts):
-    """Area centroid of a simple polygon (signed-area formula)."""
+    """Area centroid of a simple polygon (signed-area formula); pts is
+    (m, 2), or (..., m, 2) for a centroid per polygon."""
     pts = np.asarray(pts, dtype=float)
-    x, y = pts[:, 0], pts[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    x, y = pts[..., 0], pts[..., 1]
+    nxt = vertex_successors(pts.shape[-2])
+    xn, yn = x[..., nxt], y[..., nxt]
     cross = x * yn - xn * y
-    a = 0.5 * cross.sum()
-    cx = float(((x + xn) * cross).sum() / (6.0 * a))
-    cy = float(((y + yn) * cross).sum() / (6.0 * a))
-    return np.array([cx, cy])
+    a6 = 6.0 * (0.5 * cross.sum(axis=-1))
+    return np.stack([((x + xn) * cross).sum(axis=-1) / a6,
+                     ((y + yn) * cross).sum(axis=-1) / a6], axis=-1)
 
 
 def _segments_properly_intersect(p1, p2, p3, p4):
-    """True if open segments p1-p2 and p3-p4 cross."""
+    """True where open segments p1-p2 and p3-p4 cross; points are (..., 2)."""
 
     def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        return ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+                - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
 
     d1 = orient(p3, p4, p1)
     d2 = orient(p3, p4, p2)
     d3 = orient(p1, p2, p3)
     d4 = orient(p1, p2, p4)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 \
-        and d3 != 0 and d4 != 0
-
-
-def is_simple_quad(pts):
-    """True if the quad has no crossing between its two opposite edge pairs."""
-    p = np.asarray(pts, dtype=float)
-    if _segments_properly_intersect(p[0], p[1], p[2], p[3]):
-        return False
-    if _segments_properly_intersect(p[1], p[2], p[3], p[0]):
-        return False
-    return True
+    return (((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & (d1 != 0)
+            & (d2 != 0) & (d3 != 0) & (d4 != 0))
 
 
 def element_geometry(quad):
@@ -161,11 +171,23 @@ def element_geometry(quad):
     area = polygon_area(quad)
     if area <= 0.0:
         raise DegenerateElement(f"signed area {area} is not positive")
-    edges = np.roll(quad, -1, axis=0) - quad
-    cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] \
-        - edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
-    is_convex = bool(np.all(cross > 0) or np.all(cross < 0))
+    is_convex = bool(_quad_flags(quad[None])[2][0])
     return area, polygon_centroid(quad), is_convex
+
+
+def _quad_flags(quads):
+    """Signed shoelace area, self-crossing flag (a proper crossing of
+    either pair of opposite sides) and convexity flag (consecutive edge
+    cross products of one sign) of each quad of an (E, 4, 2) array."""
+    nxt = vertex_successors(4)
+    x, y = quads[..., 0], quads[..., 1]
+    area = 0.5 * ((x * y[:, nxt]).sum(axis=1) - (x[:, nxt] * y).sum(axis=1))
+    p1, p2, p3, p4 = quads.transpose(1, 0, 2)
+    crossed = (_segments_properly_intersect(p1, p2, p3, p4)
+               | _segments_properly_intersect(p2, p3, p4, p1))
+    edges = quads[:, nxt] - quads
+    turn = edges[..., 0] * edges[:, nxt, 1] - edges[..., 1] * edges[:, nxt, 0]
+    return area, crossed, (turn > 0).all(axis=1) | (turn < 0).all(axis=1)
 
 
 def generate_structured_mesh(nx, ny, length, height):
@@ -215,12 +237,14 @@ def distort_mesh(mesh, spec, dx, dy):
     coords = mesh.coords.copy()
     coords[interior] += (2.0 * r - 1.0) * spec.alpha_ir * np.array([dx, dy])
     out = Mesh(coords, mesh.conn, mesh.boundary_edges)
-    for e, quad in enumerate(coords[mesh.conn]):
-        if polygon_area(quad) <= 0.0:
-            raise InvalidElement(e, "distortion inverted the element")
-        if not is_simple_quad(quad):
-            raise InvalidElement(e, "distortion produced a self-intersecting quad")
-    n_concave = len(concave_elements(out))
+    area, crossed, convex = _quad_flags(coords[mesh.conn])
+    bad = np.flatnonzero((area <= 0.0) | crossed)
+    if bad.size:
+        e = int(bad[0])
+        reason = ("distortion inverted the element" if area[e] <= 0.0
+                  else "distortion produced a self-intersecting quad")
+        raise InvalidElement(e, reason)
+    n_concave = int(np.count_nonzero(~convex))
     if n_concave:
         log.debug("distort_mesh: %d concave element(s) at alpha_ir=%g",
                   n_concave, spec.alpha_ir)
@@ -228,13 +252,12 @@ def distort_mesh(mesh, spec, dx, dy):
 
 
 def concave_elements(mesh):
-    """Indices of simple but non-convex elements."""
-    out = []
-    for e, quad in enumerate(mesh.coords[mesh.conn]):
-        _, _, convex = element_geometry(quad)
-        if not convex:
-            out.append(e)
-    return out
+    """Indices of simple but non-convex elements; raises DegenerateElement
+    when an element's signed area is <= 0."""
+    area, _, convex = _quad_flags(mesh.coords[mesh.conn])
+    if (area <= 0.0).any():
+        raise DegenerateElement(f"signed area {area.min()} is not positive")
+    return np.flatnonzero(~convex).tolist()
 
 
 def table_sites(quad):
@@ -331,7 +354,9 @@ def subdivide_adaptive(quad, k, parent_element=-1, split="12-34"):
         try:
             return subdivide(quad, kk, parent_element, ss), kk, ss
         except DegenerateElement as err:
-            last = err
+            # a kept traceback would hold every caller's frame until a
+            # garbage collection
+            last = err.with_traceback(None)
     raise last
 
 
@@ -361,6 +386,10 @@ def mesh_from_text(text):
     if len(head) != 4 or head[0] != "nodes" or head[2] != "elements":
         raise ValueError("bad header line")
     n, e = int(head[1]), int(head[3])
+    if len(rows) < 1 + n + e:
+        raise ValueError(f"line {rows[0][0]}: header declares {n} nodes and "
+                         f"{e} elements, but the file has {len(rows) - 1} "
+                         "rows after it")
     coords, conn, boundary = [], [], []
     for j, (lineno, row) in enumerate(rows[1:]):
         want = 3 if j < n else 5 if j < n + e else 4  # node, element, edge
@@ -372,6 +401,8 @@ def mesh_from_text(text):
                 raise ValueError(f"line {lineno}: expected node id {j}")
             coords.append((float(row[1]), float(row[2])))
         elif j < n + e:
+            if int(row[0]) != j - n:
+                raise ValueError(f"line {lineno}: expected element id {j - n}")
             conn.append([int(t) for t in row[1:]])
         elif row[0] == "edge":
             boundary.append(BoundaryEdge(int(row[1]), int(row[2]), row[3]))

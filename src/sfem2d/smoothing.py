@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ZeroArea
-from .mesh import subdivide_adaptive
+from .mesh import subdivide_adaptive, vertex_successors
 from .shapefn import shape_evaluator
 
 log = logging.getLogger(__name__)
@@ -70,7 +70,7 @@ def boundary_flux(cell, evaluator, n_points=2):
     verts = cell.vertices
     xi, wq = GAUSS_1D[n_points]
     v0 = verts
-    v1 = np.roll(verts, -1, axis=0)
+    v1 = verts[vertex_successors(len(verts))]
     edges = v1 - v0                                   # (m, 2)
     lengths = np.hypot(edges[:, 0], edges[:, 1])      # (m,)
     normals = np.column_stack([edges[:, 1], -edges[:, 0]])  # outward for CCW

@@ -2,6 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Reproducible property tests: --hypothesis-profile=ci draws the same
+# examples on every run and drops the per-example deadline.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 # The worked parallelogram used throughout: (0,0), (1,0), (1.5,1), (0.5,1).
 PARALLELOGRAM = np.array([[0.0, 0.0], [1.0, 0.0], [1.5, 1.0], [0.5, 1.0]])

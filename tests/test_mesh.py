@@ -1,5 +1,7 @@
 """Mesh generation, distortion, subdivision, and the text format."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -26,6 +28,9 @@ from sfem2d.mesh import (
 )
 
 from conftest import PARALLELOGRAM, UNIT_SQUARE, random_simple_quad
+
+# Six nodes, elements 0 = (0 1 4 3) and 1 = (1 2 5 4), six boundary edges.
+TWO_BY_ONE = mesh_to_text(generate_structured_mesh(2, 1, 2.0, 1.0))
 
 
 class TestStructuredMesh:
@@ -176,6 +181,19 @@ class TestSubdivide:
             polygon_area(dart), rel=1e-12
         )
 
+    def test_adaptive_fallback_leaves_no_reference_cycle(self):
+        # A kept exception's traceback would pin the callers' frames (and
+        # their arrays) until the cyclic garbage collector runs.
+        dart = np.array([[0.0, 0.0], [2.0, 0.0], [0.25, 0.25], [0.0, 2.0]])
+        gc.collect()
+        gc.disable()
+        try:
+            _, k_used, _ = subdivide_adaptive(dart, 4)
+            assert k_used < 4
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestElementGeometry:
     def test_unit_square(self):
@@ -231,6 +249,11 @@ class TestTextFormat:
                      id="long-row-after-blank"),
         pytest.param("nodes 2 elements 0\n0 0 0\n2 1 0", "line 3",
                      id="node-id-out-of-order"),
+        pytest.param("\n".join(TWO_BY_ONE.splitlines()[:8]) + "\n",
+                     "line 1: header declares 6 nodes and 2 elements",
+                     id="truncated-after-first-element"),
+        pytest.param(TWO_BY_ONE.replace("\n1 1 2 5 4\n", "\n7 1 2 5 4\n"),
+                     "line 9: expected element id 1", id="element-id-7"),
     ])
     def test_bad_header(self, text, message):
         with pytest.raises(ValueError, match=message):
@@ -253,15 +276,17 @@ class TestMeshValidation:
         with pytest.raises(ValueError):
             Mesh(m.coords, m.conn, [BoundaryEdge(0, 0, "bottom")] * 2)
 
-    @pytest.mark.parametrize("node1, edge, message", [
-        ("1 1 0", "edge 5 0 left", "out of range"),
-        ("1 1 0", "edge -1 0 left", "out of range"),
-        ("1 1 0", "edge 0 7 left", "out of range"),
-        ("1 nan 0", "edge 0 3 left", "finite"),
-    ], ids=["element-past-end", "negative-element", "local-edge", "nan"])
-    def test_bad_edge_or_coordinate(self, node1, edge, message):
-        text = (f"nodes 4 elements 1\n0 0 0\n{node1}\n2 1 1\n3 0 1\n"
-                f"0 0 1 2 3\n{edge}\n")
+    ONE_QUAD = "nodes 4 elements 1\n0 0 0\n{}\n2 1 1\n3 0 1\n0 0 1 2 3\n{}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        (ONE_QUAD.format("1 1 0", "edge 5 0 left"), "out of range"),
+        (ONE_QUAD.format("1 1 0", "edge -1 0 left"), "out of range"),
+        (ONE_QUAD.format("1 1 0", "edge 0 7 left"), "out of range"),
+        (ONE_QUAD.format("1 nan 0", "edge 0 3 left"), "finite"),
+        (TWO_BY_ONE + "edge 0 1 left\n", "shared by two elements"),
+    ], ids=["element-past-end", "negative-element", "local-edge", "nan",
+            "interior-edge"])
+    def test_bad_edge_or_coordinate(self, text, message):
         with pytest.raises(ValueError, match=message):
             mesh_from_text(text)
 
