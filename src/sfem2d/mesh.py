@@ -253,10 +253,13 @@ def distort_mesh(mesh, spec, dx, dy):
 
 def concave_elements(mesh):
     """Indices of simple but non-convex elements; raises DegenerateElement
-    when an element's signed area is <= 0."""
-    area, _, convex = _quad_flags(mesh.coords[mesh.conn])
+    when an element's signed area is <= 0, and InvalidElement naming the
+    first element that crosses itself."""
+    area, crossed, convex = _quad_flags(mesh.coords[mesh.conn])
     if (area <= 0.0).any():
         raise DegenerateElement(f"signed area {area.min()} is not positive")
+    if crossed.any():
+        raise InvalidElement(int(np.argmax(crossed)), "self-intersecting quad")
     return np.flatnonzero(~convex).tolist()
 
 
@@ -265,20 +268,12 @@ def table_sites(quad):
     corners, the midpoints of sides 1-2, 2-3, 3-4, 4-1, and the bimedian
     intersection."""
     quad = np.asarray(quad, dtype=float)
-    n1, n2, n3, n4 = quad
-    return np.array(
-        [
-            n1,
-            n2,
-            n3,
-            n4,
-            0.5 * (n1 + n2),
-            0.5 * (n2 + n3),
-            0.5 * (n3 + n4),
-            0.5 * (n4 + n1),
-            0.25 * (n1 + n2 + n3 + n4),  # bimedians bisect each other here
-        ]
-    )
+    sites = np.empty((9, 2))
+    sites[:4] = quad
+    sites[4:8] = 0.5 * (quad + quad[vertex_successors(4)])
+    # the bimedians bisect each other at the vertex mean
+    sites[8] = 0.25 * (quad[0] + quad[1] + quad[2] + quad[3])
+    return sites
 
 
 # Bimedian subdivisions as table_sites indices, keyed by subdivision_key:
@@ -291,6 +286,7 @@ CELL_SITES = {
     (2, "23-41"): ((0, 1, 5, 7), (7, 5, 2, 3)),
     (4, None): ((0, 4, 8, 7), (4, 1, 5, 8), (8, 5, 2, 6), (7, 8, 6, 3)),
 }
+_CELL_INDEX = {key: np.array(ids) for key, ids in CELL_SITES.items()}
 SKELETON_SEGMENTS = {
     (1, None): _OUTLINE,
     (2, "12-34"): _OUTLINE + ((4, 8), (8, 6)),
@@ -320,10 +316,8 @@ def subdivide(quad, k, parent_element=-1, split="12-34"):
     quad = np.asarray(quad, dtype=float)
     if quad.shape != (4, 2):
         raise ValueError("quad must be a (4, 2) coordinate array")
-    sites = table_sites(quad)
     cells = []
-    for ids in CELL_SITES[subdivision_key(k, split)]:
-        verts = sites[list(ids)]
+    for verts in table_sites(quad)[_CELL_INDEX[subdivision_key(k, split)]]:
         area = polygon_area(verts)
         if area <= 0.0:
             raise DegenerateElement(

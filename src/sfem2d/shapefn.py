@@ -34,13 +34,17 @@ from .mesh import (
     polygon_area,
     subdivision_key,
     table_sites,
+    vertex_successors,
 )
 
 SCHEMES = ("wachspress", "averaged", "lagrange")
 
 # Wedge i is the product of the line equations of the two sides not
-# adjacent to node i; sides are 1-2, 2-3, 3-4, 4-1 in that order.
-_WEDGE_SIDES = ((1, 2), (2, 3), (3, 0), (0, 1))
+# adjacent to node i, _J_SIDES[i] and _K_SIDES[i]; sides are 1-2, 2-3,
+# 3-4, 4-1 in that order.
+_OPPOSITE_SIDES = np.array([[1, 2, 3, 0], [2, 3, 0, 1]])
+_J_SIDES, _K_SIDES = _OPPOSITE_SIDES
+_PREV = np.array([3, 0, 1, 2])  # node i-1
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,29 +98,6 @@ def line_through(p, q, positive_at):
     return line
 
 
-def _interior_point(quad):
-    """A point strictly inside a simple quad: the midpoint of an interior
-    diagonal (falls back to the vertex average)."""
-    for i, j in ((0, 2), (1, 3)):
-        mid = 0.5 * (quad[i] + quad[j])
-        if _point_in_polygon(mid, quad):
-            return mid
-    return quad.mean(axis=0)
-
-
-def _point_in_polygon(p, poly):
-    inside = False
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        if (y1 > p[1]) != (y2 > p[1]):
-            xi = x1 + (p[1] - y1) * (x2 - x1) / (y2 - y1)
-            if p[0] < xi:
-                inside = not inside
-    return inside
-
-
 def quad_diameter(quad):
     quad = np.asarray(quad, dtype=float)
     d = quad[:, None, :] - quad[None, :, :]
@@ -143,65 +124,57 @@ class WachspressBasis:
     @property
     def line_normals(self):
         """(4, 2) unit normals (gradients of the line equations)."""
-        return np.column_stack(
-            [-self.line_dir[:, 1], self.line_dir[:, 0]]
-        ) * self.line_scale[:, None]
-
-
-def _triangle_area(a, b, c):
-    return 0.5 * ((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+        return self.line_dir[:, ::-1] * (-1.0, 1.0) * self.line_scale[:, None]
 
 
 def build_wachspress(quad):
     """Construct the rational basis for a CCW quad.
 
-    The wedge constant of node i weights the product of its two
-    opposite-side lines by the signed corner-triangle area at i and the
-    lengths of those sides, kappa_i = A(v_{i-1}, v_i, v_{i+1}) |s_j| |s_k|.
-    That choice (and only that choice, up to a common factor) makes the
-    rational basis reproduce linear fields exactly; the Kronecker-delta
-    property is verified to 1e-12 before returning.
+    Side line i runs from node i to node i+1 and is positive on its left,
+    which for a simple CCW quad is the element side. The wedge constant
+    of node i weights the product of its two opposite-side lines by the
+    signed corner-triangle area at i and the lengths of those sides,
+    kappa_i = A(v_{i-1}, v_i, v_{i+1}) |s_j| |s_k|. That choice (and only
+    that choice, up to a common factor) makes the rational basis
+    reproduce linear fields exactly; the Kronecker-delta property is
+    verified to 1e-12 before returning.
     """
-    quad = np.asarray(quad, dtype=float)
+    quad = np.array(quad, dtype=float)  # a copy: the basis keeps it
     if polygon_area(quad) <= 0.0:
         raise DegenerateElement("quad must be CCW with positive area")
-    ref = _interior_point(quad)
-    lines = tuple(
-        line_through(quad[i], quad[(i + 1) % 4], ref) for i in range(4)
-    )
+    nxt = vertex_successors(4)
+    d = quad[nxt] - quad
+    side_len = np.hypot(d[:, 0], d[:, 1])
+    if not (side_len > 0.0).all():
+        i = int(np.argmin(side_len > 0.0))
+        raise CoincidentPoints(
+            f"line through {quad[i]} and {quad[nxt[i]]} is undefined")
     diam = quad_diameter(quad)
-    side_len = np.array(
-        [np.hypot(*(quad[(i + 1) % 4] - quad[i])) for i in range(4)]
-    )
-    kappas = np.empty(4)
-    for i, (j, k) in enumerate(_WEDGE_SIDES):
-        prod = float(lines[j](quad[i]) * lines[k](quad[i]))
-        if abs(prod) < 1e-14 * diam ** 2:
-            raise WedgeDegenerate(
-                f"opposite sides pass through node {i + 1}; wedge undefined"
-            )
-        corner = _triangle_area(quad[i - 1], quad[i], quad[(i + 1) % 4])
-        if abs(corner) < 1e-14 * diam ** 2:
-            raise WedgeDegenerate(
-                f"node {i + 1} is collinear with its neighbours; "
-                "wedge constant zero"
-            )
-        kappas[i] = corner * side_len[j] * side_len[k]
+    # lines[0, i], lines[1, i]: node i's two opposite-side lines at node i
+    rel = quad - quad[_OPPOSITE_SIDES]
+    sides = d[_OPPOSITE_SIDES]
+    lines = (sides[..., 0] * rel[..., 1] - sides[..., 1] * rel[..., 0]) \
+        / side_len[_OPPOSITE_SIDES]
+    a, c = quad[_PREV], quad[nxt]
+    corner = 0.5 * ((quad[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+                    - (quad[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+    tiny = 1e-14 * diam ** 2
+    no_wedge = np.abs(lines[0] * lines[1]) < tiny
+    flat = np.abs(corner) < tiny
+    if (no_wedge | flat).any():
+        i = int(np.argmax(no_wedge | flat))
+        raise WedgeDegenerate(
+            f"opposite sides pass through node {i + 1}; wedge undefined"
+            if no_wedge[i] else f"node {i + 1} is collinear with its "
+            "neighbours; wedge constant zero")
+    kappas = corner * side_len[_J_SIDES] * side_len[_K_SIDES]
     kappas /= np.abs(kappas).max()  # common factor; keeps wedges O(1)
-    basis = WachspressBasis(
-        kappas, diam,
-        line_anchor=np.array([(ln.px, ln.py) for ln in lines]),
-        line_dir=np.array([(ln.dx, ln.dy) for ln in lines]),
-        line_scale=np.array([ln.sign / ln.norm for ln in lines]),
-    )
+    basis = WachspressBasis(kappas, diam, line_anchor=quad, line_dir=d,
+                            line_scale=1.0 / side_len)
     delta = eval_wachspress(basis, quad) - np.eye(4)
     if np.abs(delta).max() > 1e-12:
         raise SfemError("Kronecker-delta check failed at construction")
     return basis
-
-
-_J_SIDES = [jk[0] for jk in _WEDGE_SIDES]
-_K_SIDES = [jk[1] for jk in _WEDGE_SIDES]
 
 
 def _wedges(basis, p):
@@ -216,7 +189,7 @@ def eval_wachspress(basis, p):
     total = w.sum(axis=-1)
     scale = np.abs(w).max(axis=-1)
     bad = np.abs(total) <= 1e-12 * np.maximum(scale, 1e-300)
-    if np.any(bad):
+    if bad.any():
         raise AdjointZero("wedge sum vanishes at the evaluation point")
     return w / total[..., None]
 
@@ -309,34 +282,31 @@ class AveragedSkeleton:
         quad = np.asarray(quad, dtype=float)
         self.sites = table_sites(quad)
         self.diameter = quad_diameter(quad)
-        pairs = SKELETON_SEGMENTS[subdivision_key(k, split)]
-        self.p0 = self.sites[[a for a, _ in pairs]]
-        self.p1 = self.sites[[b for _, b in pairs]]
-        self.v0 = SITE_VALUES[[a for a, _ in pairs]]
-        self.v1 = SITE_VALUES[[b for _, b in pairs]]
+        a, b = np.array(SKELETON_SEGMENTS[subdivision_key(k, split)]).T
+        self.p0, self.p1 = self.sites[a], self.sites[b]
+        self.v0, self.v1 = SITE_VALUES[a], SITE_VALUES[b]
         d = self.p1 - self.p0
         self._d = d
         self._len2 = (d ** 2).sum(axis=1)
 
-    def eval_point(self, p):
-        p = np.asarray(p, dtype=float)
-        rel = p[None, :] - self.p0
-        t = np.clip((rel * self._d).sum(axis=1) / self._len2, 0.0, 1.0)
-        foot = self.p0 + t[:, None] * self._d
-        dist2 = ((p[None, :] - foot) ** 2).sum(axis=1)
-        best = int(np.argmin(dist2))
-        if np.sqrt(dist2[best]) > 1e-10 * self.diameter:
-            raise OffSkeleton(
-                f"point {tuple(p)} is not on a smoothing-cell boundary segment"
-            )
-        tb = t[best]
-        return (1.0 - tb) * self.v0[best] + tb * self.v1[best]
-
     def __call__(self, p):
+        """Shape values at p: (2,) -> (4,), (n, 2) -> (n, 4). Each point
+        takes the values of its nearest skeleton segment."""
         p = np.asarray(p, dtype=float)
         if p.ndim == 1:
-            return self.eval_point(p)
-        return np.stack([self.eval_point(q) for q in p])
+            return self(p[None])[0]
+        rel = p[:, None, :] - self.p0                         # (n, s, 2)
+        t = np.clip((rel * self._d).sum(axis=2) / self._len2, 0.0, 1.0)
+        foot = self.p0 + t[..., None] * self._d
+        dist2 = ((p[:, None, :] - foot) ** 2).sum(axis=2)
+        best = np.argmin(dist2, axis=1)
+        rows = np.arange(len(p))
+        off = np.sqrt(dist2[rows, best]) > 1e-10 * self.diameter
+        if off.any():
+            raise OffSkeleton(f"point {tuple(p[np.argmax(off)])} is not on "
+                              "a smoothing-cell boundary segment")
+        tb = t[rows, best][:, None]
+        return (1.0 - tb) * self.v0[best] + tb * self.v1[best]
 
 
 def eval_averaged(quad, k, p, split="12-34"):

@@ -64,6 +64,12 @@ def default_quadrature(scheme):
     return 1 if scheme == "averaged" else 2
 
 
+def check_quadrature(n_points):
+    """Raise ValueError unless n_points is a Gauss count of GAUSS_1D."""
+    if n_points not in GAUSS_1D:
+        raise ValueError(f"n_points must be 1, 2, 3 or 4, got {n_points!r}")
+
+
 def boundary_flux(cell, evaluator, n_points=2):
     """Per-node boundary integrals (bx_I, by_I) = integral of N_I * n over
     the cell boundary, as a (4, 2) array."""
@@ -73,7 +79,7 @@ def boundary_flux(cell, evaluator, n_points=2):
     v1 = verts[vertex_successors(len(verts))]
     edges = v1 - v0                                   # (m, 2)
     lengths = np.hypot(edges[:, 0], edges[:, 1])      # (m,)
-    normals = np.column_stack([edges[:, 1], -edges[:, 0]])  # outward for CCW
+    normals = edges[:, ::-1] * (1.0, -1.0)           # outward for CCW
     normals /= np.where(lengths > 0.0, lengths, 1.0)[:, None]
     # all quadrature points of all segments in one evaluator call
     mids = 0.5 * (v0 + v1)
@@ -108,6 +114,7 @@ def element_b_matrices(quad, k_cells, scheme, n_points=None, split="12-34",
     """
     if n_points is None:
         n_points = default_quadrature(scheme)
+    check_quadrature(n_points)
     cells, k_used, split_used = subdivide_adaptive(quad, k_cells,
                                                    parent_element, split)
     if k_used != k_cells:

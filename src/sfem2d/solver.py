@@ -23,7 +23,12 @@ from .errors import (
 )
 from .mesh import EDGE_CORNERS
 from .shapefn import shape_evaluator
-from .smoothing import GAUSS_1D, element_b_matrices, element_stiffness
+from .smoothing import (
+    GAUSS_1D,
+    check_quadrature,
+    element_b_matrices,
+    element_stiffness,
+)
 
 
 def element_dofs(mesh):
@@ -85,6 +90,7 @@ def apply_tractions(mesh, edge_tag, traction, n_points=2, scheme="wachspress",
     edges = [be for be in mesh.boundary_edges if be.tag == edge_tag]
     if not edges:
         raise UnknownTag(f"no boundary edge tagged {edge_tag!r}")
+    check_quadrature(n_points)
     load = np.zeros(2 * mesh.num_nodes)
     xi, wq = GAUSS_1D[n_points]
     for be in edges:

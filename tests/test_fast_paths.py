@@ -1,30 +1,59 @@
 """Randomized checks of the array fast paths against the scalar loops they
-replaced: the blocked error quadrature, the roll-free polygon helpers and
-the whole-mesh element checks of distort_mesh."""
+replaced: the blocked error quadrature, the roll-free polygon helpers,
+the whole-mesh element checks of distort_mesh, the array Wachspress
+construction, the batched skeleton search, and the site, cell and flux
+formulas of the per-cell smoothing step."""
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sfem2d import benchmarks
 from sfem2d.benchmarks import TimoshenkoBeam, energy_norm_error, exact_strain
-from sfem2d.errors import DegenerateElement, InvalidElement
+from sfem2d.errors import (
+    DegenerateElement,
+    InvalidElement,
+    OffSkeleton,
+    SfemError,
+    WedgeDegenerate,
+)
 from sfem2d.mesh import (
+    CELL_SITES,
+    SKELETON_SEGMENTS,
     DistortionSpec,
     Mesh,
+    SmoothingCell,
     concave_elements,
     distort_mesh,
     element_geometry,
     generate_structured_mesh,
     polygon_area,
     polygon_centroid,
+    subdivide,
+    subdivision_key,
+    table_sites,
 )
-from sfem2d.smoothing import elasticity_matrix, element_b_matrices
+from sfem2d.shapefn import (
+    SITE_VALUES,
+    AveragedSkeleton,
+    WachspressBasis,
+    build_wachspress,
+    eval_wachspress,
+    line_through,
+    quad_diameter,
+    shape_evaluator,
+)
+from sfem2d.smoothing import (
+    GAUSS_1D,
+    boundary_flux,
+    elasticity_matrix,
+    element_b_matrices,
+)
 from sfem2d.solver import element_dofs
 
-from conftest import random_convex_quad, random_simple_quad
+from conftest import interior_points, random_convex_quad, random_simple_quad
 
 BEAM = TimoshenkoBeam()
 SCHEMES = st.sampled_from(["wachspress", "averaged", "lagrange"])
@@ -218,3 +247,257 @@ class TestArrayDistortionChecks:
             e, reason = expected
             assert exc.value.element_index == e
             assert str(exc.value) == f"element {e}: {reason}"
+
+
+# ---------------------------------------------------------------------------
+# The per-element set-up: each oracle below is the scalar form the library
+# used before its array form, copied verbatim in arithmetic.
+
+def point_in_polygon(p, poly):
+    inside = False
+    n = len(poly)
+    for i in range(n):
+        x1, y1 = poly[i]
+        x2, y2 = poly[(i + 1) % n]
+        if (y1 > p[1]) != (y2 > p[1]):
+            xi = x1 + (p[1] - y1) * (x2 - x1) / (y2 - y1)
+            if p[0] < xi:
+                inside = not inside
+    return inside
+
+
+def interior_point(quad):
+    for i, j in ((0, 2), (1, 3)):
+        mid = 0.5 * (quad[i] + quad[j])
+        if point_in_polygon(mid, quad):
+            return mid
+    return quad.mean(axis=0)
+
+
+def triangle_area(a, b, c):
+    return 0.5 * ((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+
+
+def wachspress_by_lines(quad):
+    """build_wachspress through line_through and an interior-point sign."""
+    quad = np.asarray(quad, dtype=float)
+    if polygon_area(quad) <= 0.0:
+        raise DegenerateElement("quad must be CCW with positive area")
+    ref = interior_point(quad)
+    lines = tuple(
+        line_through(quad[i], quad[(i + 1) % 4], ref) for i in range(4)
+    )
+    diam = quad_diameter(quad)
+    side_len = np.array(
+        [np.hypot(*(quad[(i + 1) % 4] - quad[i])) for i in range(4)]
+    )
+    kappas = np.empty(4)
+    for i, (j, k) in enumerate(((1, 2), (2, 3), (3, 0), (0, 1))):
+        prod = float(lines[j](quad[i]) * lines[k](quad[i]))
+        if abs(prod) < 1e-14 * diam ** 2:
+            raise WedgeDegenerate(
+                f"opposite sides pass through node {i + 1}; wedge undefined"
+            )
+        corner = triangle_area(quad[i - 1], quad[i], quad[(i + 1) % 4])
+        if abs(corner) < 1e-14 * diam ** 2:
+            raise WedgeDegenerate(
+                f"node {i + 1} is collinear with its neighbours; "
+                "wedge constant zero"
+            )
+        kappas[i] = corner * side_len[j] * side_len[k]
+    kappas /= np.abs(kappas).max()
+    basis = WachspressBasis(
+        kappas, diam,
+        line_anchor=np.array([(ln.px, ln.py) for ln in lines]),
+        line_dir=np.array([(ln.dx, ln.dy) for ln in lines]),
+        line_scale=np.array([ln.sign / ln.norm for ln in lines]),
+    )
+    delta = eval_wachspress(basis, quad) - np.eye(4)
+    if np.abs(delta).max() > 1e-12:
+        raise SfemError("Kronecker-delta check failed at construction")
+    return basis
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except SfemError as err:
+        return type(err), str(err)
+
+
+def sites_by_rows(quad):
+    n1, n2, n3, n4 = np.asarray(quad, dtype=float)
+    return np.array([n1, n2, n3, n4, 0.5 * (n1 + n2), 0.5 * (n2 + n3),
+                     0.5 * (n3 + n4), 0.5 * (n4 + n1),
+                     0.25 * (n1 + n2 + n3 + n4)])
+
+
+def skeleton_point(quad, k, split, p):
+    """Averaged shape values at one point by a per-point nearest-segment
+    search."""
+    sites = sites_by_rows(quad)
+    pairs = SKELETON_SEGMENTS[subdivision_key(k, split)]
+    p0 = sites[[a for a, _ in pairs]]
+    d = sites[[b for _, b in pairs]] - p0
+    rel = p[None, :] - p0
+    t = np.clip((rel * d).sum(axis=1) / (d ** 2).sum(axis=1), 0.0, 1.0)
+    dist2 = ((p[None, :] - (p0 + t[:, None] * d)) ** 2).sum(axis=1)
+    best = int(np.argmin(dist2))
+    if np.sqrt(dist2[best]) > 1e-10 * quad_diameter(quad):
+        raise OffSkeleton(
+            f"point {tuple(p)} is not on a smoothing-cell boundary segment"
+        )
+    tb = t[best]
+    return ((1.0 - tb) * SITE_VALUES[pairs[best][0]]
+            + tb * SITE_VALUES[pairs[best][1]])
+
+
+def flux_by_columns(cell, evaluator, n_points):
+    """boundary_flux with column-stacked normals and np.roll."""
+    verts = cell.vertices
+    xi, wq = GAUSS_1D[n_points]
+    v1 = np.roll(verts, -1, axis=0)
+    edges = v1 - verts
+    lengths = np.hypot(edges[:, 0], edges[:, 1])
+    normals = np.column_stack([edges[:, 1], -edges[:, 0]])
+    normals /= np.where(lengths > 0.0, lengths, 1.0)[:, None]
+    mids = 0.5 * (verts + v1)
+    pts = mids[:, None, :] + 0.5 * xi[None, :, None] * edges[:, None, :]
+    nvals = np.asarray(evaluator(pts.reshape(-1, 2)))
+    nvals = nvals.reshape(len(verts), n_points, 4)
+    weights = 0.5 * lengths[:, None] * wq[None, :]
+    per_segment = np.einsum("sq,sqi->si", weights, nvals)
+    return np.einsum("si,sd->id", per_segment, normals)
+
+
+SUBDIVISIONS = st.sampled_from([(1, "12-34"), (2, "12-34"), (2, "23-41"),
+                                (4, "12-34")])
+# Small integer corners: repeated nodes, collinear triples, zero and
+# negative areas and self-crossing orders all come up often.
+GRID_QUADS = arrays(np.float64, (4, 2), elements=st.integers(-2, 2))
+
+
+def assert_same_basis(fast, slow):
+    for name in ("kappas", "line_anchor", "line_dir", "line_scale"):
+        np.testing.assert_array_equal(getattr(fast, name),
+                                      getattr(slow, name), err_msg=name)
+    assert fast.diameter == slow.diameter
+
+
+class TestArrayWachspress:
+    @settings(max_examples=300, deadline=None)
+    @given(quad=QUADS, pseed=SEEDS)
+    def test_simple_quads_bit_equal(self, quad, pseed):
+        fast, slow = outcome(build_wachspress, quad), \
+            outcome(wachspress_by_lines, quad)
+        if isinstance(slow, tuple):
+            assert fast == slow
+            return
+        assert_same_basis(fast, slow)
+        rng = np.random.default_rng(pseed)
+        lo, hi = quad.min(axis=0), quad.max(axis=0)
+        pts = np.vstack([interior_points(quad, rng, 16),
+                         lo + (hi - lo) * rng.random((16, 2))])
+        for p in pts:   # one at a time: a pole raises for its point only
+            fv, sv = outcome(eval_wachspress, fast, p), \
+                outcome(eval_wachspress, slow, p)
+            if isinstance(sv, tuple):
+                assert fv == sv
+            else:
+                np.testing.assert_array_equal(fv, sv)
+
+    @settings(max_examples=400, deadline=None)
+    @given(quad=GRID_QUADS)
+    # a sliver: node 1 is both on its opposite sides and flat
+    @example(quad=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1e-15],
+                            [1.0, 1e-15]]))
+    def test_degenerate_draws_raise_alike(self, quad):
+        # a self-crossing order has no inside to fix a side-line sign by
+        assume(is_simple_quad(quad))
+        fast, slow = outcome(build_wachspress, quad), \
+            outcome(wachspress_by_lines, quad)
+        if isinstance(slow, tuple):
+            assert fast == slow
+        else:
+            assert_same_basis(fast, slow)
+
+
+class TestBatchedSkeleton:
+    @settings(max_examples=200, deadline=None)
+    @given(quad=QUADS, sub=SUBDIVISIONS, pseed=SEEDS,
+           n=st.integers(1, 24))
+    def test_batch_bit_equal_to_point_search(self, quad, sub, pseed, n):
+        k, split = sub
+        rng = np.random.default_rng(pseed)
+        pairs = np.array(SKELETON_SEGMENTS[subdivision_key(k, split)])
+        sites = table_sites(quad)
+        seg = rng.integers(0, len(pairs), n)
+        t = rng.choice([0.0, 1.0, 0.5, rng.random()], n)[:, None]
+        p0, p1 = sites[pairs[seg, 0]], sites[pairs[seg, 1]]
+        pts = p0 + t * (p1 - p0)
+        slow = np.array([skeleton_point(quad, k, split, p) for p in pts])
+        skeleton = AveragedSkeleton(quad, k, split)
+        np.testing.assert_array_equal(skeleton(pts), slow)
+        np.testing.assert_array_equal(skeleton(pts[0]), slow[0])
+        assert skeleton(np.empty((0, 2))).shape == (0, 4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(quad=QUADS, sub=SUBDIVISIONS, at=st.integers(0, 5))
+    def test_one_off_point_raises(self, quad, sub, at):
+        k, split = sub
+        pts = np.repeat(table_sites(quad)[[0, 4]], 3, axis=0)
+        pts[at] = quad.max(axis=0) + quad_diameter(quad)   # outside
+        with pytest.raises(OffSkeleton) as exc:
+            AveragedSkeleton(quad, k, split)(pts)
+        assert str(exc.value) == outcome(skeleton_point, quad, k, split,
+                                         pts[at])[1]
+
+
+class TestCellFormulas:
+    @settings(max_examples=300, deadline=None)
+    @given(quad=st.one_of(QUADS, GRID_QUADS), sub=SUBDIVISIONS)
+    def test_sites_and_cells_bit_equal(self, quad, sub):
+        np.testing.assert_array_equal(table_sites(quad), sites_by_rows(quad))
+        k, split = sub
+        sites = sites_by_rows(quad)
+        expected = []
+        for ids in CELL_SITES[subdivision_key(k, split)]:
+            verts = sites[list(ids)]
+            area = polygon_area(verts)
+            if area <= 0.0:
+                expected = (DegenerateElement, "smoothing cell of element 7 "
+                            f"has area {area}")
+                break
+            expected.append((verts, area))
+        cells = outcome(subdivide, quad, k, 7, split)
+        if isinstance(expected, tuple):
+            assert cells == expected
+            return
+        assert len(cells) == len(expected)
+        for cell, (verts, area) in zip(cells, expected):
+            np.testing.assert_array_equal(cell.vertices, verts)
+            assert cell.area == area and cell.parent_element == 7
+
+    @settings(max_examples=200, deadline=None)
+    @given(quad=QUADS, scheme=SCHEMES, sub=SUBDIVISIONS,
+           n_points=st.integers(1, 4), vseed=SEEDS)
+    def test_boundary_flux_bit_equal(self, quad, scheme, sub, n_points,
+                                     vseed):
+        k, split = sub
+        evaluator = outcome(shape_evaluator, scheme, quad, k, split)
+        cells = outcome(subdivide, quad, k, 0, split)
+        assume(not isinstance(evaluator, tuple)
+               and not isinstance(cells, tuple))
+        if scheme != "averaged":
+            # a basis defined everywhere takes any polygon, 3 to 5 sides
+            verts = quad[0] + np.random.default_rng(vseed).random(
+                (int(vseed % 3) + 3, 2))
+            cells.append(SmoothingCell(verts, polygon_area(verts), 0))
+        for cell in cells:
+            fast = outcome(boundary_flux, cell, evaluator, n_points)
+            slow = outcome(flux_by_columns, cell, evaluator, n_points)
+            if isinstance(slow, tuple):
+                assert fast == slow
+            else:
+                np.testing.assert_array_equal(fast, slow)

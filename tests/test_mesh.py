@@ -222,6 +222,14 @@ class TestElementGeometry:
         m = generate_structured_mesh(2, 2, 1, 1)
         assert concave_elements(m) == []
 
+    def test_concave_elements_rejects_self_crossing(self):
+        # signed area +1, but sides 2-3 and 4-1 cross
+        m = Mesh([(0, 0), (3, 0), (0, 1), (1, 2)], [[0, 1, 2, 3]], [])
+        with pytest.raises(InvalidElement) as exc:
+            concave_elements(m)
+        assert exc.value.element_index == 0
+        assert str(exc.value) == "element 0: self-intersecting quad"
+
 
 class TestTextFormat:
     def test_round_trip(self):

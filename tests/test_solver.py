@@ -96,6 +96,19 @@ class TestTractions:
             apply_tractions(m, "free-end", lambda x, y: (1.0, 0.0))
 
 
+@pytest.mark.parametrize("n_points", [0, 5, 6])
+@pytest.mark.parametrize("call", ["element_stiffness", "apply_tractions"])
+def test_bad_quadrature_count_is_value_error(call, n_points):
+    m = generate_structured_mesh(1, 1, 1, 1)
+    with pytest.raises(ValueError, match=r"must be 1, 2, 3 or 4, got"):
+        if call == "element_stiffness":
+            element_stiffness(m.coords[m.conn[0]], 4, "wachspress", MAT,
+                              n_points=n_points)
+        else:
+            apply_tractions(m, "right", lambda x, y: (1.0, 0.0),
+                            n_points=n_points)
+
+
 class TestDirichletAndSolve:
     def test_boundary_linear_field_reproduced(self):
         m = generate_structured_mesh(2, 2, 1, 1)
