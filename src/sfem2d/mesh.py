@@ -190,6 +190,19 @@ def _quad_flags(quads):
     return area, crossed, (turn > 0).all(axis=1) | (turn < 0).all(axis=1)
 
 
+def check_quads(quads, inverted="inverted quad (signed area <= 0)",
+                crossing="self-intersecting quad"):
+    """Convexity flag of each quad of an (E, 4, 2) array; raises
+    InvalidElement with the matching reason for the first quad that is
+    inverted or crosses itself."""
+    area, crossed, convex = _quad_flags(quads)
+    bad = np.flatnonzero((area <= 0.0) | crossed)
+    if bad.size:
+        e = int(bad[0])
+        raise InvalidElement(e, inverted if area[e] <= 0.0 else crossing)
+    return convex
+
+
 def generate_structured_mesh(nx, ny, length, height):
     """Uniform nx-by-ny quad grid over [0, length] x [-height/2, height/2].
 
@@ -237,13 +250,8 @@ def distort_mesh(mesh, spec, dx, dy):
     coords = mesh.coords.copy()
     coords[interior] += (2.0 * r - 1.0) * spec.alpha_ir * np.array([dx, dy])
     out = Mesh(coords, mesh.conn, mesh.boundary_edges)
-    area, crossed, convex = _quad_flags(coords[mesh.conn])
-    bad = np.flatnonzero((area <= 0.0) | crossed)
-    if bad.size:
-        e = int(bad[0])
-        reason = ("distortion inverted the element" if area[e] <= 0.0
-                  else "distortion produced a self-intersecting quad")
-        raise InvalidElement(e, reason)
+    convex = check_quads(coords[mesh.conn], "distortion inverted the element",
+                         "distortion produced a self-intersecting quad")
     n_concave = int(np.count_nonzero(~convex))
     if n_concave:
         log.debug("distort_mesh: %d concave element(s) at alpha_ir=%g",
@@ -252,15 +260,9 @@ def distort_mesh(mesh, spec, dx, dy):
 
 
 def concave_elements(mesh):
-    """Indices of simple but non-convex elements; raises DegenerateElement
-    when an element's signed area is <= 0, and InvalidElement naming the
-    first element that crosses itself."""
-    area, crossed, convex = _quad_flags(mesh.coords[mesh.conn])
-    if (area <= 0.0).any():
-        raise DegenerateElement(f"signed area {area.min()} is not positive")
-    if crossed.any():
-        raise InvalidElement(int(np.argmax(crossed)), "self-intersecting quad")
-    return np.flatnonzero(~convex).tolist()
+    """Indices of simple but non-convex elements; raises InvalidElement
+    naming the first element that is inverted or crosses itself."""
+    return np.flatnonzero(~check_quads(mesh.coords[mesh.conn])).tolist()
 
 
 def table_sites(quad):

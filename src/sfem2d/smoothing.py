@@ -70,32 +70,33 @@ def check_quadrature(n_points):
         raise ValueError(f"n_points must be 1, 2, 3 or 4, got {n_points!r}")
 
 
-def boundary_flux(cell, evaluator, n_points=2):
+def boundary_flux(vertices, evaluator, n_points=2):
     """Per-node boundary integrals (bx_I, by_I) = integral of N_I * n over
-    the cell boundary, as a (4, 2) array."""
-    verts = cell.vertices
+    the boundary of a CCW polygon, (m, 2) -> (4, 2); a stack of polygons
+    (..., m, 2) gives (..., 4, 2) from one evaluator call."""
+    v0 = np.asarray(vertices)
     xi, wq = GAUSS_1D[n_points]
-    v0 = verts
-    v1 = verts[vertex_successors(len(verts))]
-    edges = v1 - v0                                   # (m, 2)
-    lengths = np.hypot(edges[:, 0], edges[:, 1])      # (m,)
-    normals = edges[:, ::-1] * (1.0, -1.0)           # outward for CCW
-    normals /= np.where(lengths > 0.0, lengths, 1.0)[:, None]
+    v1 = v0[..., vertex_successors(v0.shape[-2]), :]
+    edges = v1 - v0                                       # (..., m, 2)
+    lengths = np.hypot(edges[..., 0], edges[..., 1])      # (..., m)
+    normals = edges[..., ::-1] * (1.0, -1.0)             # outward for CCW
+    normals /= np.where(lengths > 0.0, lengths, 1.0)[..., None]
     # all quadrature points of all segments in one evaluator call
     mids = 0.5 * (v0 + v1)
-    pts = mids[:, None, :] + 0.5 * xi[None, :, None] * edges[:, None, :]
+    pts = mids[..., None, :] + 0.5 * xi[:, None] * edges[..., None, :]
     nvals = np.asarray(evaluator(pts.reshape(-1, 2)))
-    nvals = nvals.reshape(len(verts), n_points, 4)
-    weights = 0.5 * lengths[:, None] * wq[None, :]    # (m, n_points)
-    per_segment = np.einsum("sq,sqi->si", weights, nvals)  # (m, 4)
-    return np.einsum("si,sd->id", per_segment, normals)
+    nvals = nvals.reshape(pts.shape[:-1] + (4,))          # (..., m, q, 4)
+    weights = 0.5 * lengths[..., None] * wq               # (..., m, q)
+    per_segment = np.einsum("...sq,...sqi->...si", weights, nvals)
+    return np.einsum("...si,...sd->...id", per_segment, normals)
 
 
-def smoothed_b(cell, evaluator, n_points=2):
-    """Smoothed 3x8 strain-displacement matrix of one cell."""
+def smoothed_b(cell, flux):
+    """Smoothed 3x8 strain-displacement matrix of one cell from its
+    boundary_flux."""
     if cell.area <= 0.0:
         raise ZeroArea(f"cell of element {cell.parent_element} has zero area")
-    flux = boundary_flux(cell, evaluator, n_points) / cell.area
+    flux = flux / cell.area
     b = np.zeros((3, 8))  # columns ux, uy of node 1, then node 2, ...
     b[0, 0::2] = flux[:, 0]
     b[1, 1::2] = flux[:, 1]
@@ -107,7 +108,7 @@ def smoothed_b(cell, evaluator, n_points=2):
 def element_b_matrices(quad, k_cells, scheme, n_points=None, split="12-34",
                        parent_element=-1):
     """Smoothing cells of one element and the smoothed 3x8 B matrix of
-    each, as (cells, [B]).
+    each, as (cells, [B]); one evaluator call covers every cell.
 
     A strongly concave element whose requested cells would invert is
     smoothed over fewer cells (see subdivide_adaptive).
@@ -121,7 +122,9 @@ def element_b_matrices(quad, k_cells, scheme, n_points=None, split="12-34",
         log.debug("element too concave for %d cells; smoothed with %d",
                   k_cells, k_used)
     evaluator = shape_evaluator(scheme, quad, k_used, split_used)
-    return cells, [smoothed_b(cell, evaluator, n_points) for cell in cells]
+    fluxes = boundary_flux(np.stack([cell.vertices for cell in cells]),
+                           evaluator, n_points)
+    return cells, [smoothed_b(cell, f) for cell, f in zip(cells, fluxes)]
 
 
 @dataclass(frozen=True, eq=False)

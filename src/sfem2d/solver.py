@@ -21,7 +21,7 @@ from .errors import (
     SingularSystem,
     UnknownTag,
 )
-from .mesh import EDGE_CORNERS
+from .mesh import EDGE_CORNERS, check_quads
 from .shapefn import shape_evaluator
 from .smoothing import (
     GAUSS_1D,
@@ -56,9 +56,12 @@ class Solution:
 
 
 def assemble(mesh, scheme, k_cells, material, n_points=None, split="12-34"):
-    """Scatter element stiffness into a sparse symmetric global matrix."""
+    """Scatter element stiffness into a sparse symmetric global matrix;
+    raises InvalidElement for the first inverted or self-crossing element."""
+    quads = mesh.coords[mesh.conn]
+    check_quads(quads)
     vals = []
-    for e, quad in enumerate(mesh.coords[mesh.conn]):
+    for e, quad in enumerate(quads):
         try:
             ke = element_stiffness(
                 quad, k_cells, scheme, material,

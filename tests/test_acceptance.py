@@ -268,7 +268,7 @@ def test_criterion_8_property_suites():
                     for s in range(len(v))
                 )
                 worst = max(worst, np.abs(
-                    boundary_flux(cell, ones, 2).sum(0)).max() / perim)
+                    boundary_flux(v, ones, 2).sum(0)).max() / perim)
     notes.append(check("closed-boundary-normals", worst, 1e-12))
 
     # stiffness symmetry and rigid-body null space

@@ -1,8 +1,11 @@
 """Randomized checks of the array fast paths against the scalar loops they
 replaced: the blocked error quadrature, the roll-free polygon helpers,
 the whole-mesh element checks of distort_mesh, the array Wachspress
-construction, the batched skeleton search, and the site, cell and flux
-formulas of the per-cell smoothing step."""
+construction, the batched skeleton search, the site, cell and flux
+formulas of the per-cell smoothing step, and the stacked cell-boundary
+flux of each element."""
+
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +13,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sfem2d import benchmarks
-from sfem2d.benchmarks import TimoshenkoBeam, energy_norm_error, exact_strain
+from sfem2d import benchmarks, solver
+from sfem2d.benchmarks import (
+    TimoshenkoBeam,
+    beam_mesh,
+    energy_norm_error,
+    exact_strain,
+)
 from sfem2d.errors import (
     DegenerateElement,
     InvalidElement,
@@ -32,6 +40,7 @@ from sfem2d.mesh import (
     polygon_area,
     polygon_centroid,
     subdivide,
+    subdivide_adaptive,
     subdivision_key,
     table_sites,
 )
@@ -48,10 +57,12 @@ from sfem2d.shapefn import (
 from sfem2d.smoothing import (
     GAUSS_1D,
     boundary_flux,
+    default_quadrature,
     elasticity_matrix,
     element_b_matrices,
+    smoothed_b,
 )
-from sfem2d.solver import element_dofs
+from sfem2d.solver import cell_strains, element_dofs
 
 from conftest import interior_points, random_convex_quad, random_simple_quad
 
@@ -495,9 +506,89 @@ class TestCellFormulas:
                 (int(vseed % 3) + 3, 2))
             cells.append(SmoothingCell(verts, polygon_area(verts), 0))
         for cell in cells:
-            fast = outcome(boundary_flux, cell, evaluator, n_points)
+            fast = outcome(boundary_flux, cell.vertices, evaluator, n_points)
             slow = outcome(flux_by_columns, cell, evaluator, n_points)
             if isinstance(slow, tuple):
                 assert fast == slow
             else:
                 np.testing.assert_array_equal(fast, slow)
+
+
+def b_matrices_per_cell(quad, k_cells, scheme, n_points=None, split="12-34",
+                        parent_element=-1):
+    """element_b_matrices with one boundary_flux call per cell (its form
+    before the cells of an element were stacked)."""
+    if n_points is None:
+        n_points = default_quadrature(scheme)
+    cells, k_used, split_used = subdivide_adaptive(quad, k_cells,
+                                                   parent_element, split)
+    evaluator = shape_evaluator(scheme, quad, k_used, split_used)
+    return cells, [smoothed_b(cell, boundary_flux(cell.vertices, evaluator,
+                                                  n_points))
+                   for cell in cells]
+
+
+class TestStackedFlux:
+    @settings(max_examples=300, deadline=None)
+    @given(quad=QUADS, scheme=SCHEMES, k=st.sampled_from([1, 2, 4]),
+           split=SPLITS, n_points=st.integers(1, 4))
+    @example(quad=DART, scheme="wachspress", k=4, split="12-34", n_points=2)
+    def test_stack_bit_equal_to_per_cell_calls(self, quad, scheme, k, split,
+                                               n_points):
+        # simple CCW quads always subdivide, falling back to fewer cells
+        cells, k_used, split_used = subdivide_adaptive(quad, k, 0, split)
+        evaluator = outcome(shape_evaluator, scheme, quad, k_used, split_used)
+        assume(not isinstance(evaluator, tuple))
+        verts = np.stack([cell.vertices for cell in cells])
+        fast = outcome(boundary_flux, verts, evaluator, n_points)
+        slow = [outcome(boundary_flux, v, evaluator, n_points) for v in verts]
+        raised = [f for f in slow if isinstance(f, tuple)]
+        if raised:
+            assert fast == raised[0]
+        else:
+            assert fast.shape == (len(cells), 4, 2)
+            np.testing.assert_array_equal(fast, np.stack(slow))
+
+    @settings(max_examples=300, deadline=None)
+    @given(quad=QUADS, scheme=SCHEMES, k=st.sampled_from([1, 2, 4]),
+           split=SPLITS, n_points=st.integers(1, 4))
+    @example(quad=DART, scheme="wachspress", k=4, split="12-34", n_points=2)
+    def test_element_b_matrices_bit_equal_to_per_cell_calls(
+            self, quad, scheme, k, split, n_points):
+        try:
+            cells, bmats = b_matrices_per_cell(quad, k, scheme, n_points,
+                                               split, 5)
+        except SfemError as err:
+            with pytest.raises(type(err), match=re.escape(str(err))):
+                element_b_matrices(quad, k, scheme, n_points, split, 5)
+            return
+        fast_cells, fast_bmats = element_b_matrices(quad, k, scheme,
+                                                    n_points, split, 5)
+        assert len(fast_cells) == len(cells) == len(fast_bmats)
+        for fc, c, fb, b in zip(fast_cells, cells, fast_bmats, bmats):
+            np.testing.assert_array_equal(fc.vertices, c.vertices)
+            assert fc.area == c.area and fc.parent_element == 5
+            np.testing.assert_array_equal(fb, b)
+
+    @pytest.mark.parametrize("scheme", ["wachspress", "averaged", "lagrange"])
+    def test_fallback_mesh_strains_and_error_match_per_cell_loop(self,
+                                                                 scheme):
+        mesh = beam_mesh(BEAM, 4, 0.5, seed=0)
+        quads = mesh.coords[mesh.conn]
+        # the stacks of the fallback elements hold 2 cells, not 4
+        assert sum(subdivide_adaptive(q, 4)[1] < 4 for q in quads) == 5
+        u = 1e-4 * np.random.default_rng(0).standard_normal(
+            2 * mesh.num_nodes)
+        fast_strains = cell_strains(mesh, u, scheme, 4)
+        fast_error = energy_norm_error(mesh, u, BEAM, scheme, 4)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "element_b_matrices", b_matrices_per_cell)
+            mp.setattr(benchmarks, "element_b_matrices", b_matrices_per_cell)
+            slow_strains = cell_strains(mesh, u, scheme, 4)
+            slow_error = energy_norm_error(mesh, u, BEAM, scheme, 4)
+        assert len(fast_strains) == len(slow_strains) == 4 * 507 + 2 * 5
+        for (fc, fe), (c, e) in zip(fast_strains, slow_strains):
+            np.testing.assert_array_equal(fc.vertices, c.vertices)
+            assert fc.area == c.area
+            np.testing.assert_array_equal(fe, e)
+        assert fast_error == slow_error

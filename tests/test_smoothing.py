@@ -74,7 +74,8 @@ class TestSmoothedB:
         ev = shape_evaluator(scheme, quad, k)
         u = np.tile([0.7, -0.3], 4)
         for cell in subdivide(quad, k):
-            bm = smoothed_b(cell, ev, default_quadrature(scheme))
+            bm = smoothed_b(cell, boundary_flux(cell.vertices, ev,
+                                                 default_quadrature(scheme)))
             assert np.abs(bm @ u).max() < 1e-12
 
     def test_linear_field_unit_square(self):
@@ -82,7 +83,7 @@ class TestSmoothedB:
         (cell,) = subdivide(UNIT_SQUARE, 1)
         u = UNIT_SQUARE[:, 0]  # u = (x, 0)
         uvec = np.column_stack([u, np.zeros(4)]).ravel()
-        bm = smoothed_b(cell, ev)
+        bm = smoothed_b(cell, boundary_flux(cell.vertices, ev))
         assert bm @ uvec == pytest.approx([1.0, 0.0, 0.0], abs=1e-14)
 
     def test_affine_field_reproduced_on_convex_quads(self, rng):
@@ -96,7 +97,7 @@ class TestSmoothedB:
             expected = [a[0, 0], a[1, 1], a[0, 1] + a[1, 0]]
             ev = shape_evaluator("wachspress", quad, 4)
             for cell in subdivide(quad, 4):
-                eps = smoothed_b(cell, ev, 2) @ u
+                eps = smoothed_b(cell, boundary_flux(cell.vertices, ev, 2)) @ u
                 assert eps == pytest.approx(expected, abs=1e-10)
 
     def test_averaged_midpoint_equals_wachspress_on_square(self):
@@ -105,8 +106,8 @@ class TestSmoothedB:
         ev_a = shape_evaluator("wachspress", UNIT_SQUARE, 4)
         ev_b = shape_evaluator("averaged", UNIT_SQUARE, 4)
         for cell in subdivide(UNIT_SQUARE, 4):
-            ba = smoothed_b(cell, ev_a, 2)
-            bb = smoothed_b(cell, ev_b, 1)
+            ba = smoothed_b(cell, boundary_flux(cell.vertices, ev_a, 2))
+            bb = smoothed_b(cell, boundary_flux(cell.vertices, ev_b, 1))
             assert np.abs(ba - bb).max() < 1e-12
 
     def test_closed_boundary_normal_integral(self, rng):
@@ -120,7 +121,7 @@ class TestSmoothedB:
                 except Exception:
                     continue
                 for cell in cells:
-                    flux = boundary_flux(cell, ones, 2)
+                    flux = boundary_flux(cell.vertices, ones, 2)
                     perimeter = sum(
                         np.hypot(*(cell.vertices[(s + 1) % len(cell.vertices)]
                                    - cell.vertices[s]))
@@ -133,7 +134,8 @@ class TestSmoothedB:
             vertices=UNIT_SQUARE, area=0.0, parent_element=0
         )
         with pytest.raises(ZeroArea):
-            smoothed_b(cell, shape_evaluator("wachspress", UNIT_SQUARE, 1))
+            smoothed_b(cell, boundary_flux(
+                cell.vertices, shape_evaluator("wachspress", UNIT_SQUARE, 1)))
 
 
 class TestElementStiffness:

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sfem2d.errors import AllDofsFixed, SingularSystem, UnknownTag
-from sfem2d.mesh import generate_structured_mesh
+from sfem2d.errors import (
+    AllDofsFixed,
+    InvalidElement,
+    SingularSystem,
+    UnknownTag,
+)
+from sfem2d.mesh import Mesh, generate_structured_mesh
 from sfem2d.smoothing import MaterialModel, element_stiffness
 from sfem2d.solver import (
     GlobalSystem,
@@ -64,6 +69,23 @@ class TestAssemble:
 
         with pytest.raises(SfemError, match="element 1"):
             assemble(bad, "wachspress", 4, MAT)
+
+    @pytest.mark.parametrize("scheme", ["wachspress", "averaged", "lagrange"])
+    @pytest.mark.parametrize("corners, reason", [
+        # signed area +1, but sides 2-3 and 4-1 cross
+        ([(0, 0), (3, 0), (0, 1), (1, 2)], "self-intersecting quad"),
+        ([(0, 0), (0, 1), (1, 1), (1, 0)], "inverted quad (signed area <= 0)"),
+    ])
+    def test_invalid_element_rejected_before_smoothing(self, scheme, corners,
+                                                       reason):
+        m = generate_structured_mesh(2, 1, 2, 1)
+        good = m.coords[m.conn[0]]
+        bad = Mesh(np.vstack([good, corners]), [[0, 1, 2, 3], [4, 5, 6, 7]],
+                   [])
+        with pytest.raises(InvalidElement) as exc:
+            assemble(bad, scheme, 4, MAT)
+        assert exc.value.element_index == 1
+        assert str(exc.value) == f"element 1: {reason}"
 
 
 class TestTractions:
