@@ -19,7 +19,6 @@ from .benchmarks import (
 from .errors import (
     AdjointZero,
     AllDofsFixed,
-    CoincidentPoints,
     DegenerateElement,
     InvalidElement,
     NonExistent,
@@ -29,15 +28,12 @@ from .errors import (
     UnknownTag,
     UnsupportedSubdivision,
     WedgeDegenerate,
-    ZeroArea,
 )
 from .mesh import (
     BoundaryEdge,
     DistortionSpec,
     Mesh,
-    SmoothingCell,
     distort_mesh,
-    element_geometry,
     generate_structured_mesh,
     mesh_from_text,
     mesh_to_text,
@@ -49,7 +45,6 @@ from .mesh import (
 )
 from .shapefn import (
     LagrangeBasis,
-    LineEquation,
     WachspressBasis,
     build_lagrange,
     build_wachspress,
@@ -57,7 +52,6 @@ from .shapefn import (
     eval_lagrange,
     eval_wachspress,
     eval_wachspress_gradient,
-    line_through,
     shape_evaluator,
 )
 from .smoothing import (

@@ -27,7 +27,6 @@ from .smoothing import (
     GAUSS_1D,
     MaterialModel,
     elasticity_matrix,
-    element_b_matrices,
     smoothed_b,  # noqa: F401  bench/tests reads sfem2d.benchmarks.smoothed_b
 )
 from .solver import (
@@ -35,7 +34,6 @@ from .solver import (
     apply_tractions,
     assemble,
     cell_strains,
-    element_dofs,
     solve,
 )
 
@@ -191,13 +189,8 @@ def beam_mesh(beam, mesh_index, alpha_ir=0.0, seed=0, max_retries=10):
 
 
 def solve_beam(beam, mesh_index, scheme, k_cells, alpha_ir=0.0, seed=0,
-               quadrature=None, split="12-34", with_strains=False):
-    """Solve the cantilever on one mesh; returns (mesh, Solution).
-
-    with_strains=True attaches the per-cell smoothed strains to the
-    Solution (skipped by default; convergence studies recompute them
-    inside the error integral anyway).
-    """
+               quadrature=None, split="12-34"):
+    """Solve the cantilever on one mesh; returns (mesh, Solution)."""
     mesh = beam_mesh(beam, mesh_index, alpha_ir, seed)
     system = assemble(mesh, scheme, k_cells, beam.material,
                       n_points=quadrature, split=split)
@@ -210,11 +203,7 @@ def solve_beam(beam, mesh_index, scheme, k_cells, alpha_ir=0.0, seed=0,
                                   k_cells=k_cells)
     apply_dirichlet(system, mesh.boundary_node_ids("left"),
                     lambda x, y: exact_displacement(beam, x, y))
-    sol = solve(system)
-    if with_strains:
-        sol.per_cell_strains = cell_strains(mesh, sol.u, scheme, k_cells,
-                                            n_points=quadrature, split=split)
-    return mesh, sol
+    return mesh, solve(system)
 
 
 def energy_norm_error(mesh, u, beam, scheme, k_cells, quadrature=None,
@@ -227,22 +216,11 @@ def energy_norm_error(mesh, u, beam, scheme, k_cells, quadrature=None,
     integrated at once, so the sum order differs from a per-cell loop.
     """
     d = elasticity_matrix(beam.material)
-    edofs = element_dofs(mesh)
-    verts = np.empty((mesh.num_elements * k_cells, 4, 2))
-    strains = np.empty((len(verts), 3))
-    n = 0
-    for e, quad in enumerate(mesh.coords[mesh.conn]):
-        cells, bmats = element_b_matrices(quad, k_cells, scheme, quadrature,
-                                          split, e)
-        ue = u[edofs[e]]
-        for cell, b in zip(cells, bmats):
-            verts[n] = cell.vertices
-            strains[n] = b @ ue
-            n += 1
-    verts, strains = verts[:n], strains[:n]  # fallback elements have < k
+    verts, _, strains = cell_strains(mesh, u, scheme, k_cells,
+                                     n_points=quadrature, split=split)
     nxt = vertex_successors(4)
     total = 0.0
-    for i in range(0, n, _ERROR_BLOCK):
+    for i in range(0, len(verts), _ERROR_BLOCK):
         cv = verts[i:i + _ERROR_BLOCK]
         tri = np.stack([np.broadcast_to(polygon_centroid(cv)[:, None],
                                         cv.shape), cv, cv[:, nxt]], axis=2)

@@ -36,18 +36,18 @@ def _parse_quad(text):
     if text == "unit-square":
         return UNIT_SQUARE
     vals = [float(t) for t in text.split(",")]
-    if len(vals) != 8:
+    if len(vals) != 8 or not np.isfinite(vals).all():
         raise argparse.ArgumentTypeError(
-            "quad must be 'parallelogram', 'unit-square', or 8 floats "
-            "x1,y1,...,x4,y4"
+            "quad must be 'parallelogram', 'unit-square', or 8 finite "
+            "floats x1,y1,...,x4,y4"
         )
     return tuple((vals[2 * i], vals[2 * i + 1]) for i in range(4))
 
 
 def _parse_point(text):
     vals = [float(t) for t in text.split(",")]
-    if len(vals) != 2:
-        raise argparse.ArgumentTypeError("point must be 'x,y'")
+    if len(vals) != 2 or not np.isfinite(vals).all():
+        raise argparse.ArgumentTypeError("point must be 'x,y', both finite")
     return tuple(vals)
 
 

@@ -5,10 +5,6 @@ class SfemError(Exception):
     """Base class for all sfem2d errors."""
 
 
-class CoincidentPoints(SfemError):
-    """Two points that must be distinct coincide."""
-
-
 class InvalidElement(SfemError):
     """An element is self-intersecting or has non-positive area."""
 
@@ -22,7 +18,8 @@ class UnsupportedSubdivision(SfemError):
 
 
 class DegenerateElement(SfemError):
-    """Element area is zero or negative."""
+    """An element or smoothing cell has zero or negative area, or two
+    adjacent nodes coincide."""
 
 
 class WedgeDegenerate(SfemError):
@@ -43,10 +40,6 @@ class NonExistent(SfemError):
 class OffSkeleton(SfemError):
     """Averaged shape functions were requested at a point that is not on
     any smoothing-cell boundary segment."""
-
-
-class ZeroArea(SfemError):
-    """A smoothing cell has zero or negative area."""
 
 
 class UnknownTag(SfemError):

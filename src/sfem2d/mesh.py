@@ -47,16 +47,6 @@ class DistortionSpec:
             raise ValueError(f"alpha_ir must be in [0, 0.5], got {self.alpha_ir}")
 
 
-@dataclass(frozen=True, eq=False)
-class SmoothingCell:
-    """A CCW polygonal subcell of an element over which strains are
-    smoothed."""
-
-    vertices: np.ndarray  # (m, 2)
-    area: float
-    parent_element: int
-
-
 class Mesh:
     """Node coordinates (N, 2), CCW quad connectivity (E, 4), boundary edges."""
 
@@ -159,20 +149,6 @@ def _segments_properly_intersect(p1, p2, p3, p4):
     d4 = orient(p1, p2, p4)
     return (((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & (d1 != 0)
             & (d2 != 0) & (d3 != 0) & (d4 != 0))
-
-
-def element_geometry(quad):
-    """Shoelace area, area centroid, and convexity flag for a CCW quad.
-
-    Convexity holds iff all four cross products of consecutive edges share
-    one sign. Raises DegenerateElement when the signed area is <= 0.
-    """
-    quad = np.asarray(quad, dtype=float)
-    area = polygon_area(quad)
-    if area <= 0.0:
-        raise DegenerateElement(f"signed area {area} is not positive")
-    is_convex = bool(_quad_flags(quad[None])[2][0])
-    return area, polygon_centroid(quad), is_convex
 
 
 def _quad_flags(quads):
@@ -306,37 +282,45 @@ def subdivision_key(k, split):
     return (k, split if k == 2 else None)
 
 
-def subdivide(quad, k, parent_element=-1, split="12-34"):
+def _cells(quad, k, split):
+    """Vertices (k, 4, 2) and signed areas (k,) of the k bimedian cells."""
+    quad = np.asarray(quad, dtype=float)
+    if quad.shape != (4, 2):
+        raise ValueError("quad must be a (4, 2) coordinate array")
+    verts = table_sites(quad)[_CELL_INDEX[subdivision_key(k, split)]]
+    return verts, np.array([polygon_area(v) for v in verts])
+
+
+def _inverted_cell(areas):
+    return DegenerateElement(
+        f"smoothing cell has area {float(areas[areas <= 0.0][0])}")
+
+
+def subdivide(quad, k, split="12-34"):
     """Split a CCW quad (given as (4, 2) corner coordinates) into k
-    smoothing cells.
+    smoothing cells, returned as their CCW vertices (k, 4, 2) and areas
+    (k,).
 
     k=1 keeps the element; k=4 uses both bimedians (cells meet at the
     bimedian intersection); k=2 uses one bimedian, by default the one
     joining the midpoints of sides 1-2 and 3-4 (split="12-34"); pass
-    split="23-41" for the other orientation. The cells tile the element.
+    split="23-41" for the other orientation. The cells tile the element;
+    a cell of area <= 0 raises DegenerateElement.
     """
-    quad = np.asarray(quad, dtype=float)
-    if quad.shape != (4, 2):
-        raise ValueError("quad must be a (4, 2) coordinate array")
-    cells = []
-    for verts in table_sites(quad)[_CELL_INDEX[subdivision_key(k, split)]]:
-        area = polygon_area(verts)
-        if area <= 0.0:
-            raise DegenerateElement(
-                f"smoothing cell of element {parent_element} has area {area}"
-            )
-        cells.append(SmoothingCell(verts, area, parent_element))
-    return cells
+    verts, areas = _cells(quad, k, split)
+    if not (areas > 0.0).all():
+        raise _inverted_cell(areas)
+    return verts, areas
 
 
-def subdivide_adaptive(quad, k, parent_element=-1, split="12-34"):
+def subdivide_adaptive(quad, k, split="12-34"):
     """Subdivision with a deterministic fallback for strongly concave
     elements whose bimedian cells invert.
 
     Tries the requested (k, split); on an inverted cell falls back to the
     two-cell splits (both orientations) and finally to the single cell,
     which is always valid for a simple CCW quad. Returns
-    (cells, k_used, split_used).
+    ((vertices, areas), k_used, split_used).
     """
     if k == 4:
         attempts = [(4, split), (2, "12-34"), (2, "23-41"), (1, split)]
@@ -345,15 +329,11 @@ def subdivide_adaptive(quad, k, parent_element=-1, split="12-34"):
         attempts = [(2, split), (2, other), (1, split)]
     else:
         attempts = [(k, split)]
-    last = None
     for kk, ss in attempts:
-        try:
-            return subdivide(quad, kk, parent_element, ss), kk, ss
-        except DegenerateElement as err:
-            # a kept traceback would hold every caller's frame until a
-            # garbage collection
-            last = err.with_traceback(None)
-    raise last
+        verts, areas = _cells(quad, kk, ss)
+        if (areas > 0.0).all():
+            return (verts, areas), kk, ss
+    raise _inverted_cell(areas)
 
 
 def mesh_to_text(mesh):
@@ -381,30 +361,31 @@ def mesh_from_text(text):
     head = rows[0][1] if rows else []
     if len(head) != 4 or head[0] != "nodes" or head[2] != "elements":
         raise ValueError("bad header line")
-    n, e = int(head[1]), int(head[3])
-    if len(rows) < 1 + n + e:
-        raise ValueError(f"line {rows[0][0]}: header declares {n} nodes and "
-                         f"{e} elements, but the file has {len(rows) - 1} "
-                         "rows after it")
     coords, conn, boundary = [], [], []
-    for j, (lineno, row) in enumerate(rows[1:]):
-        want = 3 if j < n else 5 if j < n + e else 4  # node, element, edge
-        if len(row) != want:
-            raise ValueError(f"line {lineno}: expected {want} fields, "
-                             f"got {len(row)}")
-        if j < n:
-            if int(row[0]) != j:
-                raise ValueError(f"line {lineno}: expected node id {j}")
-            coords.append((float(row[1]), float(row[2])))
-        elif j < n + e:
-            if int(row[0]) != j - n:
-                raise ValueError(f"line {lineno}: expected element id {j - n}")
-            conn.append([int(t) for t in row[1:]])
-        elif row[0] == "edge":
-            boundary.append(BoundaryEdge(int(row[1]), int(row[2]), row[3]))
-        else:
-            raise ValueError(f"line {lineno}: expected boundary edge line, "
-                             f"got {row}")
+    lineno = rows[0][0]
+    try:
+        n, e = int(head[1]), int(head[3])
+        if len(rows) < 1 + n + e:
+            raise ValueError(f"header declares {n} nodes and {e} elements, "
+                             f"but the file has {len(rows) - 1} rows after it")
+        for j, (lineno, row) in enumerate(rows[1:]):
+            want = 3 if j < n else 5 if j < n + e else 4  # node, element, edge
+            if len(row) != want:
+                raise ValueError(f"expected {want} fields, got {len(row)}")
+            if j < n:
+                if int(row[0]) != j:
+                    raise ValueError(f"expected node id {j}")
+                coords.append((float(row[1]), float(row[2])))
+            elif j < n + e:
+                if int(row[0]) != j - n:
+                    raise ValueError(f"expected element id {j - n}")
+                conn.append([int(t) for t in row[1:]])
+            elif row[0] == "edge":
+                boundary.append(BoundaryEdge(int(row[1]), int(row[2]), row[3]))
+            else:
+                raise ValueError(f"expected boundary edge line, got {row}")
+    except ValueError as err:  # int() and float() do not name the line
+        raise ValueError(f"line {lineno}: {err}") from err
     return Mesh(coords, conn, boundary)
 
 

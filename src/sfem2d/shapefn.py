@@ -16,13 +16,12 @@ Three schemes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     AdjointZero,
-    CoincidentPoints,
     DegenerateElement,
     NonExistent,
     OffSkeleton,
@@ -45,57 +44,6 @@ SCHEMES = ("wachspress", "averaged", "lagrange")
 _OPPOSITE_SIDES = np.array([[1, 2, 3, 0], [2, 3, 0, 1]])
 _J_SIDES, _K_SIDES = _OPPOSITE_SIDES
 _PREV = np.array([3, 0, 1, 2])  # node i-1
-
-
-@dataclass(frozen=True, eq=False)
-class LineEquation:
-    """Unit-normalized line a*x + b*y + c, positive on the element side
-    that contains the reference interior point.
-
-    Evaluation uses the anchored cross-product form
-    sign * (dx*(y - py) - dy*(x - px)) / |d|, which is bit-exact zero at
-    both defining points; (a, b, c) are the equivalent coefficients."""
-
-    px: float
-    py: float
-    dx: float
-    dy: float
-    norm: float
-    sign: float
-
-    def __call__(self, p):
-        p = np.asarray(p, dtype=float)
-        return self.sign * (
-            self.dx * (p[..., 1] - self.py) - self.dy * (p[..., 0] - self.px)
-        ) / self.norm
-
-    @property
-    def a(self):
-        return -self.sign * self.dy / self.norm
-
-    @property
-    def b(self):
-        return self.sign * self.dx / self.norm
-
-    @property
-    def c(self):
-        return -(self.a * self.px + self.b * self.py)
-
-
-def line_through(p, q, positive_at):
-    """Unit-normalized line through p and q, sign fixed so the equation is
-    positive at ``positive_at``."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    d = q - p
-    norm = float(np.hypot(d[0], d[1]))
-    if not norm > 0.0:
-        raise CoincidentPoints(f"line through {p} and {q} is undefined")
-    line = LineEquation(px=float(p[0]), py=float(p[1]), dx=float(d[0]),
-                        dy=float(d[1]), norm=norm, sign=1.0)
-    if line(np.asarray(positive_at, dtype=float)) < 0.0:
-        line = replace(line, sign=-1.0)
-    return line
 
 
 def quad_diameter(quad):
@@ -147,7 +95,7 @@ def build_wachspress(quad):
     side_len = np.hypot(d[:, 0], d[:, 1])
     if not (side_len > 0.0).all():
         i = int(np.argmin(side_len > 0.0))
-        raise CoincidentPoints(
+        raise DegenerateElement(
             f"line through {quad[i]} and {quad[nxt[i]]} is undefined")
     diam = quad_diameter(quad)
     # lines[0, i], lines[1, i]: node i's two opposite-side lines at node i

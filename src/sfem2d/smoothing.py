@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ZeroArea
+from .errors import DegenerateElement
 from .mesh import subdivide_adaptive, vertex_successors
 from .shapefn import shape_evaluator
 
@@ -40,12 +40,13 @@ class MaterialModel:
     thickness: float = 1.0
 
     def __post_init__(self):
-        if self.youngs_modulus <= 0:
-            raise ValueError("Young's modulus must be positive")
+        # written so that nan fails every comparison
+        if not 0.0 < self.youngs_modulus < np.inf:
+            raise ValueError("Young's modulus must be positive and finite")
         if not 0.0 <= self.poisson_ratio < 0.5:
             raise ValueError("Poisson ratio must be in [0, 0.5)")
-        if self.thickness <= 0:
-            raise ValueError("thickness must be positive")
+        if not 0.0 < self.thickness < np.inf:
+            raise ValueError("thickness must be positive and finite")
 
 
 def elasticity_matrix(material):
@@ -91,12 +92,12 @@ def boundary_flux(vertices, evaluator, n_points=2):
     return np.einsum("...si,...sd->...id", per_segment, normals)
 
 
-def smoothed_b(cell, flux):
-    """Smoothed 3x8 strain-displacement matrix of one cell from its
-    boundary_flux."""
-    if cell.area <= 0.0:
-        raise ZeroArea(f"cell of element {cell.parent_element} has zero area")
-    flux = flux / cell.area
+def smoothed_b(area, flux):
+    """Smoothed 3x8 strain-displacement matrix of one cell from its area
+    and boundary_flux."""
+    if area <= 0.0:
+        raise DegenerateElement(f"smoothing cell has area {area}")
+    flux = flux / area
     b = np.zeros((3, 8))  # columns ux, uy of node 1, then node 2, ...
     b[0, 0::2] = flux[:, 0]
     b[1, 1::2] = flux[:, 1]
@@ -105,10 +106,10 @@ def smoothed_b(cell, flux):
     return b
 
 
-def element_b_matrices(quad, k_cells, scheme, n_points=None, split="12-34",
-                       parent_element=-1):
+def element_b_matrices(quad, k_cells, scheme, n_points=None, split="12-34"):
     """Smoothing cells of one element and the smoothed 3x8 B matrix of
-    each, as (cells, [B]); one evaluator call covers every cell.
+    each, as ((vertices (k, 4, 2), areas (k,)), [B]); one evaluator call
+    covers every cell.
 
     A strongly concave element whose requested cells would invert is
     smoothed over fewer cells (see subdivide_adaptive).
@@ -116,21 +117,20 @@ def element_b_matrices(quad, k_cells, scheme, n_points=None, split="12-34",
     if n_points is None:
         n_points = default_quadrature(scheme)
     check_quadrature(n_points)
-    cells, k_used, split_used = subdivide_adaptive(quad, k_cells,
-                                                   parent_element, split)
+    (verts, areas), k_used, split_used = subdivide_adaptive(quad, k_cells,
+                                                            split)
     if k_used != k_cells:
         log.debug("element too concave for %d cells; smoothed with %d",
                   k_cells, k_used)
     evaluator = shape_evaluator(scheme, quad, k_used, split_used)
-    fluxes = boundary_flux(np.stack([cell.vertices for cell in cells]),
-                           evaluator, n_points)
-    return cells, [smoothed_b(cell, f) for cell, f in zip(cells, fluxes)]
+    fluxes = boundary_flux(verts, evaluator, n_points)
+    return (verts, areas), [smoothed_b(a, f) for a, f in zip(areas, fluxes)]
 
 
 @dataclass(frozen=True, eq=False)
 class ElementStiffness:
     k: np.ndarray                # (8, 8)
-    cells: list                  # SmoothingCell per smoothing domain
+    cells: np.ndarray            # (k_used, 4, 2) smoothing-cell vertices
     zero_modes: int              # eigenvalues below 1e-9 * max
 
     @property
@@ -146,16 +146,17 @@ def element_stiffness(quad, k_cells, scheme, material, n_points=None,
     k_cells=1 is permitted but known to carry spurious zero-energy modes;
     a rank check runs on every element and warns when they appear.
     """
-    cells, bmats = element_b_matrices(quad, k_cells, scheme, n_points, split)
+    (verts, areas), bmats = element_b_matrices(quad, k_cells, scheme,
+                                               n_points, split)
     d = elasticity_matrix(material)
     t = material.thickness
     k = np.zeros((8, 8))
-    for cell, b in zip(cells, bmats):
-        k += (b.T @ d @ b) * (cell.area * t)
+    for area, b in zip(areas, bmats):
+        k += (b.T @ d @ b) * (area * t)
     k = 0.5 * (k + k.T)
     eigs = np.linalg.eigvalsh(k)
     zero_modes = int(np.sum(eigs < 1e-9 * max(eigs.max(), 0.0)))
-    stiff = ElementStiffness(k=k, cells=cells, zero_modes=zero_modes)
+    stiff = ElementStiffness(k=k, cells=verts, zero_modes=zero_modes)
     if k_cells == 1 and stiff.spurious_modes:
         warnings.warn(
             f"single-cell smoothing leaves {stiff.spurious_modes} spurious "

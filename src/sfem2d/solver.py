@@ -52,7 +52,6 @@ class Solution:
     residual: float
     fixed_dofs: np.ndarray
     reactions: np.ndarray
-    per_cell_strains: list | None = None
 
 
 def assemble(mesh, scheme, k_cells, material, n_points=None, split="12-34"):
@@ -205,12 +204,23 @@ def solve(system):
 
 
 def cell_strains(mesh, u, scheme, k_cells, n_points=None, split="12-34"):
-    """Smoothed strain per cell: list of (SmoothingCell, 3-vector)."""
+    """Smoothed strain per cell, element by element, as (vertices
+    (n, 4, 2), areas (n,), strains (n, 3)); raises InvalidElement for the
+    first inverted or self-crossing element."""
+    quads = mesh.coords[mesh.conn]
+    check_quads(quads)
     edofs = element_dofs(mesh)
-    out = []
-    for e, quad in enumerate(mesh.coords[mesh.conn]):
-        cells, bmats = element_b_matrices(quad, k_cells, scheme, n_points,
-                                          split, e)
+    verts = np.empty((4 * len(quads), 4, 2))  # at most four cells each
+    areas = np.empty(len(verts))
+    strains = np.empty((len(verts), 3))
+    n = 0
+    for e, quad in enumerate(quads):
+        (cv, ca), bmats = element_b_matrices(quad, k_cells, scheme, n_points,
+                                             split)
         ue = u[edofs[e]]
-        out.extend((cell, b @ ue) for cell, b in zip(cells, bmats))
-    return out
+        verts[n:n + len(ca)] = cv
+        areas[n:n + len(ca)] = ca
+        for b in bmats:
+            strains[n] = b @ ue
+            n += 1
+    return verts[:n], areas[:n], strains[:n]

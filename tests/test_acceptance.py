@@ -261,8 +261,7 @@ def test_criterion_8_property_suites():
     for _ in range(N_QUADS):
         quad = random_convex_quad(rng)
         for k in (1, 2, 4):
-            for cell in subdivide(quad, k):
-                v = cell.vertices
+            for v in subdivide(quad, k)[0]:
                 perim = sum(
                     np.hypot(*(v[(s + 1) % len(v)] - v[s]))
                     for s in range(len(v))

@@ -22,6 +22,7 @@ from sfem2d.benchmarks import (
     solve_beam,
 )
 from sfem2d.errors import InvalidElement
+from sfem2d.mesh import subdivide
 from sfem2d.smoothing import GAUSS_1D, element_stiffness
 from sfem2d.solver import cell_strains
 
@@ -175,12 +176,14 @@ class TestEnergyNorm:
         gaps = [abs(r.strain_energy - exact) for r in study.records]
         assert gaps == sorted(gaps, reverse=True)
 
-    def test_solution_strains_attached_on_request(self):
-        mesh, sol = solve_beam(BEAM, 0.5, "wachspress", 4, with_strains=True)
-        assert len(sol.per_cell_strains) == 4 * mesh.num_elements
-        cell, eps = sol.per_cell_strains[0]
-        assert eps.shape == (3,)
-        assert cell.parent_element == 0
+    def test_cell_strains_of_solution(self):
+        mesh, sol = solve_beam(BEAM, 0.5, "wachspress", 4)
+        verts, areas, strains = cell_strains(mesh, sol.u, "wachspress", 4)
+        assert len(verts) == len(areas) == 4 * mesh.num_elements
+        assert strains.shape == (4 * mesh.num_elements, 3)
+        # the cells come element by element, element 0 first
+        np.testing.assert_array_equal(
+            verts[:4], subdivide(mesh.coords[mesh.conn[0]], 4)[0])
 
 
 class TestConcaveFallback:
@@ -194,18 +197,15 @@ class TestConcaveFallback:
 
     def test_cell_strains_use_element_stiffness_cells(self, mesh):
         u = np.zeros(2 * mesh.num_nodes)
-        recovered = [cell for cell, _ in
-                     cell_strains(mesh, u, "wachspress", 4)]
+        recovered, _, _ = cell_strains(mesh, u, "wachspress", 4)
         expected, fallbacks = [], 0
         for e in range(mesh.num_elements):
             cells = element_stiffness(mesh.coords[mesh.conn[e]], 4,
                                       "wachspress", BEAM.material).cells
-            expected.extend(cells)
+            expected.append(cells)
             fallbacks += len(cells) < 4
         assert fallbacks == 5
-        assert len(recovered) == len(expected)
-        for got, ref in zip(recovered, expected):
-            assert np.array_equal(got.vertices, ref.vertices)
+        assert np.array_equal(recovered, np.concatenate(expected))
 
     def test_error_pass_covers_the_fallback_cells(self, mesh):
         # with u = 0 the error integrand is the exact strain energy

@@ -124,3 +124,14 @@ class TestUsageErrors:
             main(["beam", "--alpha", "0.9"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["--point", "nan,0.5"],
+        ["--quad", "0,0,1,0,1,1,0,inf"],
+        ["--quad", "nan,0,1,0,1,1,0,1"],
+    ], ids=["nan-point", "inf-quad", "nan-quad"])
+    def test_non_finite_shapefn_input_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["shapefn-demo", *argv])
+        assert exc.value.code == 2
+        assert "finite" in capsys.readouterr().err

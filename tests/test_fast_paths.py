@@ -2,8 +2,9 @@
 replaced: the blocked error quadrature, the roll-free polygon helpers,
 the whole-mesh element checks of distort_mesh, the array Wachspress
 construction, the batched skeleton search, the site, cell and flux
-formulas of the per-cell smoothing step, and the stacked cell-boundary
-flux of each element."""
+formulas of the per-cell smoothing step, the stacked cell-boundary
+flux of each element, the retry-free concave fallback and the array
+strain recovery."""
 
 import re
 
@@ -32,10 +33,9 @@ from sfem2d.mesh import (
     SKELETON_SEGMENTS,
     DistortionSpec,
     Mesh,
-    SmoothingCell,
+    check_quads,
     concave_elements,
     distort_mesh,
-    element_geometry,
     generate_structured_mesh,
     polygon_area,
     polygon_centroid,
@@ -50,7 +50,6 @@ from sfem2d.shapefn import (
     WachspressBasis,
     build_wachspress,
     eval_wachspress,
-    line_through,
     quad_diameter,
     shape_evaluator,
 )
@@ -100,12 +99,11 @@ def fan_error_loop(mesh, u, beam, scheme, k_cells, split):
     edofs = element_dofs(mesh)
     total = 0.0
     for e, quad in enumerate(mesh.coords[mesh.conn]):
-        cells, bmats = element_b_matrices(quad, k_cells, scheme, None, split,
-                                          e)
+        (cells, _), bmats = element_b_matrices(quad, k_cells, scheme, None,
+                                               split)
         ue = u[edofs[e]]
-        for cell, b in zip(cells, bmats):
+        for verts, b in zip(cells, bmats):
             eh = b @ ue
-            verts = cell.vertices
             centroid = polygon_centroid(verts)
             m = len(verts)
             for s in range(m):
@@ -197,14 +195,17 @@ class TestRollFreeHelpers:
     @given(quad=st.one_of(arrays(np.float64, (4, 2), elements=COORD),
                           QUADS))
     def test_element_geometry_bit_equal(self, quad):
-        if roll_area(quad) <= 0.0:
-            with pytest.raises(DegenerateElement):
-                element_geometry(quad)
+        assert polygon_area(quad) == roll_area(quad)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.testing.assert_array_equal(polygon_centroid(quad),
+                                          roll_centroid(quad))
+        try:
+            convex = check_quads(quad[None])[0]
+        except InvalidElement:
+            # inverted or self-crossing: no convexity flag
+            assert roll_area(quad) <= 0.0 or not is_simple_quad(quad)
             return
-        area, centroid, convex = element_geometry(quad)
-        assert area == roll_area(quad)
-        np.testing.assert_array_equal(centroid, roll_centroid(quad))
-        assert convex is roll_convex(quad)
+        assert convex == roll_convex(quad)
 
 
 def is_simple_quad(p):
@@ -251,7 +252,7 @@ class TestArrayDistortionChecks:
             assert np.array_equal(out.coords, coords)
             assert concave_elements(out) == [
                 e for e, quad in enumerate(coords[m.conn])
-                if not element_geometry(quad)[2]]
+                if not roll_convex(quad)]
         else:
             with pytest.raises(InvalidElement) as exc:
                 distort_mesh(m, DistortionSpec(alpha, seed), dx, dy)
@@ -290,21 +291,35 @@ def triangle_area(a, b, c):
 
 
 def wachspress_by_lines(quad):
-    """build_wachspress through line_through and an interior-point sign."""
+    """build_wachspress through per-side line equations and an
+    interior-point sign."""
     quad = np.asarray(quad, dtype=float)
     if polygon_area(quad) <= 0.0:
         raise DegenerateElement("quad must be CCW with positive area")
     ref = interior_point(quad)
-    lines = tuple(
-        line_through(quad[i], quad[(i + 1) % 4], ref) for i in range(4)
-    )
+    direction = np.roll(quad, -1, axis=0) - quad
+    norm = np.array([float(np.hypot(dx, dy)) for dx, dy in direction])
+    sign = np.ones(4)
+
+    def line(i, p):
+        """Unit-normalized side line i at p, in the anchored cross-product
+        form that is bit-exact zero at both defining points."""
+        return sign[i] * (direction[i, 0] * (p[1] - quad[i, 1])
+                          - direction[i, 1] * (p[0] - quad[i, 0])) / norm[i]
+
+    for i in range(4):
+        if not norm[i] > 0.0:
+            raise DegenerateElement(
+                f"line through {quad[i]} and {quad[(i + 1) % 4]} is undefined")
+        if line(i, ref) < 0.0:
+            sign[i] = -1.0
     diam = quad_diameter(quad)
     side_len = np.array(
         [np.hypot(*(quad[(i + 1) % 4] - quad[i])) for i in range(4)]
     )
     kappas = np.empty(4)
     for i, (j, k) in enumerate(((1, 2), (2, 3), (3, 0), (0, 1))):
-        prod = float(lines[j](quad[i]) * lines[k](quad[i]))
+        prod = float(line(j, quad[i]) * line(k, quad[i]))
         if abs(prod) < 1e-14 * diam ** 2:
             raise WedgeDegenerate(
                 f"opposite sides pass through node {i + 1}; wedge undefined"
@@ -317,12 +332,8 @@ def wachspress_by_lines(quad):
             )
         kappas[i] = corner * side_len[j] * side_len[k]
     kappas /= np.abs(kappas).max()
-    basis = WachspressBasis(
-        kappas, diam,
-        line_anchor=np.array([(ln.px, ln.py) for ln in lines]),
-        line_dir=np.array([(ln.dx, ln.dy) for ln in lines]),
-        line_scale=np.array([ln.sign / ln.norm for ln in lines]),
-    )
+    basis = WachspressBasis(kappas, diam, line_anchor=quad,
+                            line_dir=direction, line_scale=sign / norm)
     delta = eval_wachspress(basis, quad) - np.eye(4)
     if np.abs(delta).max() > 1e-12:
         raise SfemError("Kronecker-delta check failed at construction")
@@ -364,9 +375,8 @@ def skeleton_point(quad, k, split, p):
             + tb * SITE_VALUES[pairs[best][1]])
 
 
-def flux_by_columns(cell, evaluator, n_points):
+def flux_by_columns(verts, evaluator, n_points):
     """boundary_flux with column-stacked normals and np.roll."""
-    verts = cell.vertices
     xi, wq = GAUSS_1D[n_points]
     v1 = np.roll(verts, -1, axis=0)
     edges = v1 - verts
@@ -477,18 +487,16 @@ class TestCellFormulas:
             verts = sites[list(ids)]
             area = polygon_area(verts)
             if area <= 0.0:
-                expected = (DegenerateElement, "smoothing cell of element 7 "
-                            f"has area {area}")
+                expected = (DegenerateElement, f"smoothing cell has area {area}")
                 break
             expected.append((verts, area))
-        cells = outcome(subdivide, quad, k, 7, split)
+        cells = outcome(subdivide, quad, k, split)
         if isinstance(expected, tuple):
             assert cells == expected
             return
-        assert len(cells) == len(expected)
-        for cell, (verts, area) in zip(cells, expected):
-            np.testing.assert_array_equal(cell.vertices, verts)
-            assert cell.area == area and cell.parent_element == 7
+        verts, areas = cells
+        np.testing.assert_array_equal(verts, [v for v, _ in expected])
+        assert areas.tolist() == [a for _, a in expected]
 
     @settings(max_examples=200, deadline=None)
     @given(quad=QUADS, scheme=SCHEMES, sub=SUBDIVISIONS,
@@ -497,35 +505,80 @@ class TestCellFormulas:
                                      vseed):
         k, split = sub
         evaluator = outcome(shape_evaluator, scheme, quad, k, split)
-        cells = outcome(subdivide, quad, k, 0, split)
+        cells = outcome(subdivide, quad, k, split)
+        # an error outcome is (type, message)
         assume(not isinstance(evaluator, tuple)
-               and not isinstance(cells, tuple))
+               and not isinstance(cells[0], type))
+        polygons = list(cells[0])
         if scheme != "averaged":
             # a basis defined everywhere takes any polygon, 3 to 5 sides
-            verts = quad[0] + np.random.default_rng(vseed).random(
-                (int(vseed % 3) + 3, 2))
-            cells.append(SmoothingCell(verts, polygon_area(verts), 0))
-        for cell in cells:
-            fast = outcome(boundary_flux, cell.vertices, evaluator, n_points)
-            slow = outcome(flux_by_columns, cell, evaluator, n_points)
+            polygons.append(quad[0] + np.random.default_rng(vseed).random(
+                (int(vseed % 3) + 3, 2)))
+        for verts in polygons:
+            fast = outcome(boundary_flux, verts, evaluator, n_points)
+            slow = outcome(flux_by_columns, verts, evaluator, n_points)
             if isinstance(slow, tuple):
                 assert fast == slow
             else:
                 np.testing.assert_array_equal(fast, slow)
 
 
-def b_matrices_per_cell(quad, k_cells, scheme, n_points=None, split="12-34",
-                        parent_element=-1):
+def b_matrices_per_cell(quad, k_cells, scheme, n_points=None, split="12-34"):
     """element_b_matrices with one boundary_flux call per cell (its form
     before the cells of an element were stacked)."""
     if n_points is None:
         n_points = default_quadrature(scheme)
-    cells, k_used, split_used = subdivide_adaptive(quad, k_cells,
-                                                   parent_element, split)
+    (verts, areas), k_used, split_used = subdivide_adaptive(quad, k_cells,
+                                                            split)
     evaluator = shape_evaluator(scheme, quad, k_used, split_used)
-    return cells, [smoothed_b(cell, boundary_flux(cell.vertices, evaluator,
-                                                  n_points))
-                   for cell in cells]
+    return (verts, areas), [smoothed_b(a, boundary_flux(v, evaluator,
+                                                        n_points))
+                            for v, a in zip(verts, areas)]
+
+
+def strains_by_element(mesh, u, scheme, k_cells):
+    """cell_strains as lists grown element by element from the B matrices
+    of element_b_matrices (its form before it filled arrays)."""
+    edofs = element_dofs(mesh)
+    verts, areas, strains = [], [], []
+    for e, quad in enumerate(mesh.coords[mesh.conn]):
+        (cv, ca), bmats = element_b_matrices(quad, k_cells, scheme)
+        verts.extend(cv)
+        areas.extend(ca)
+        strains.extend(b @ u[edofs[e]] for b in bmats)
+    return np.array(verts), np.array(areas), np.array(strains)
+
+
+def subdivide_by_retry(quad, k, split="12-34"):
+    """subdivide_adaptive as a try/except retry over a subdivide that
+    raises on the first inverted cell (its form before the cells were
+    arrays)."""
+
+    def cells_or_raise(kk, ss):
+        sites = table_sites(quad)
+        cells = []
+        for ids in CELL_SITES[subdivision_key(kk, ss)]:
+            verts = sites[list(ids)]
+            area = polygon_area(verts)
+            if area <= 0.0:
+                raise DegenerateElement(f"smoothing cell has area {area}")
+            cells.append((verts, area))
+        return cells
+
+    if k == 4:
+        attempts = [(4, split), (2, "12-34"), (2, "23-41"), (1, split)]
+    elif k == 2:
+        other = "23-41" if split == "12-34" else "12-34"
+        attempts = [(2, split), (2, other), (1, split)]
+    else:
+        attempts = [(k, split)]
+    last = None
+    for kk, ss in attempts:
+        try:
+            return cells_or_raise(kk, ss), kk, ss
+        except DegenerateElement as err:
+            last = err
+    raise last
 
 
 class TestStackedFlux:
@@ -536,17 +589,16 @@ class TestStackedFlux:
     def test_stack_bit_equal_to_per_cell_calls(self, quad, scheme, k, split,
                                                n_points):
         # simple CCW quads always subdivide, falling back to fewer cells
-        cells, k_used, split_used = subdivide_adaptive(quad, k, 0, split)
+        (verts, _), k_used, split_used = subdivide_adaptive(quad, k, split)
         evaluator = outcome(shape_evaluator, scheme, quad, k_used, split_used)
         assume(not isinstance(evaluator, tuple))
-        verts = np.stack([cell.vertices for cell in cells])
         fast = outcome(boundary_flux, verts, evaluator, n_points)
         slow = [outcome(boundary_flux, v, evaluator, n_points) for v in verts]
         raised = [f for f in slow if isinstance(f, tuple)]
         if raised:
             assert fast == raised[0]
         else:
-            assert fast.shape == (len(cells), 4, 2)
+            assert fast.shape == (len(verts), 4, 2)
             np.testing.assert_array_equal(fast, np.stack(slow))
 
     @settings(max_examples=300, deadline=None)
@@ -556,18 +608,18 @@ class TestStackedFlux:
     def test_element_b_matrices_bit_equal_to_per_cell_calls(
             self, quad, scheme, k, split, n_points):
         try:
-            cells, bmats = b_matrices_per_cell(quad, k, scheme, n_points,
-                                               split, 5)
+            (verts, areas), bmats = b_matrices_per_cell(quad, k, scheme,
+                                                        n_points, split)
         except SfemError as err:
             with pytest.raises(type(err), match=re.escape(str(err))):
-                element_b_matrices(quad, k, scheme, n_points, split, 5)
+                element_b_matrices(quad, k, scheme, n_points, split)
             return
-        fast_cells, fast_bmats = element_b_matrices(quad, k, scheme,
-                                                    n_points, split, 5)
-        assert len(fast_cells) == len(cells) == len(fast_bmats)
-        for fc, c, fb, b in zip(fast_cells, cells, fast_bmats, bmats):
-            np.testing.assert_array_equal(fc.vertices, c.vertices)
-            assert fc.area == c.area and fc.parent_element == 5
+        (fast_verts, fast_areas), fast_bmats = element_b_matrices(
+            quad, k, scheme, n_points, split)
+        assert len(fast_verts) == len(verts) == len(fast_bmats)
+        np.testing.assert_array_equal(fast_verts, verts)
+        np.testing.assert_array_equal(fast_areas, areas)
+        for fb, b in zip(fast_bmats, bmats):
             np.testing.assert_array_equal(fb, b)
 
     @pytest.mark.parametrize("scheme", ["wachspress", "averaged", "lagrange"])
@@ -581,14 +633,33 @@ class TestStackedFlux:
             2 * mesh.num_nodes)
         fast_strains = cell_strains(mesh, u, scheme, 4)
         fast_error = energy_norm_error(mesh, u, BEAM, scheme, 4)
+        by_element = strains_by_element(mesh, u, scheme, 4)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "element_b_matrices", b_matrices_per_cell)
-            mp.setattr(benchmarks, "element_b_matrices", b_matrices_per_cell)
             slow_strains = cell_strains(mesh, u, scheme, 4)
             slow_error = energy_norm_error(mesh, u, BEAM, scheme, 4)
-        assert len(fast_strains) == len(slow_strains) == 4 * 507 + 2 * 5
-        for (fc, fe), (c, e) in zip(fast_strains, slow_strains):
-            np.testing.assert_array_equal(fc.vertices, c.vertices)
-            assert fc.area == c.area
-            np.testing.assert_array_equal(fe, e)
+        assert len(fast_strains[0]) == 4 * 507 + 2 * 5
+        for slow in (slow_strains, by_element):
+            assert [a.shape for a in slow] == [a.shape for a in fast_strains]
+            for fast_part, slow_part in zip(fast_strains, slow):
+                np.testing.assert_array_equal(fast_part, slow_part)
         assert fast_error == slow_error
+
+
+class TestRetryFreeFallback:
+    @settings(max_examples=300, deadline=None)
+    @given(quad=st.one_of(QUADS, GRID_QUADS), k=st.sampled_from([1, 2, 4]),
+           split=SPLITS)
+    @example(quad=DART, k=4, split="12-34")
+    @example(quad=DART, k=2, split="23-41")
+    def test_same_cells_or_error_as_retry(self, quad, k, split):
+        slow = outcome(subdivide_by_retry, quad, k, split)
+        fast = outcome(subdivide_adaptive, quad, k, split)
+        if isinstance(slow[0], type):
+            assert fast == slow
+            return
+        (verts, areas), k_used, split_used = fast
+        cells, slow_k, slow_split = slow
+        assert (k_used, split_used) == (slow_k, slow_split)
+        np.testing.assert_array_equal(verts, [v for v, _ in cells])
+        assert areas.tolist() == [a for _, a in cells]

@@ -16,13 +16,14 @@ from sfem2d.mesh import (
     BoundaryEdge,
     DistortionSpec,
     Mesh,
+    check_quads,
     concave_elements,
     distort_mesh,
-    element_geometry,
     generate_structured_mesh,
     mesh_from_text,
     mesh_to_text,
     polygon_area,
+    polygon_centroid,
     subdivide,
     subdivide_adaptive,
 )
@@ -124,32 +125,32 @@ class TestDistortion:
 
 class TestSubdivide:
     def test_unit_square_four_cells(self):
-        cells = subdivide(UNIT_SQUARE, 4)
-        assert len(cells) == 4
-        for c in cells:
-            assert c.area == pytest.approx(0.25, abs=1e-15)
-            assert any(np.all(v == [0.5, 0.5]) for v in c.vertices)
+        verts, areas = subdivide(UNIT_SQUARE, 4)
+        assert len(verts) == len(areas) == 4
+        for v, area in zip(verts, areas):
+            assert area == pytest.approx(0.25, abs=1e-15)
+            assert any(np.all(p == [0.5, 0.5]) for p in v)
 
     def test_unit_square_two_cells(self):
-        cells = subdivide(UNIT_SQUARE, 2)
-        assert [c.area for c in cells] == pytest.approx([0.5, 0.5])
+        verts, areas = subdivide(UNIT_SQUARE, 2)
+        assert list(areas) == pytest.approx([0.5, 0.5])
         # default split joins midpoints of sides 1-2 and 3-4 (vertical)
-        assert np.allclose(cells[0].vertices[1], [0.5, 0.0])
-        other = subdivide(UNIT_SQUARE, 2, split="23-41")
-        assert np.allclose(other[0].vertices[2], [1.0, 0.5])
+        assert np.allclose(verts[0, 1], [0.5, 0.0])
+        other, _ = subdivide(UNIT_SQUARE, 2, split="23-41")
+        assert np.allclose(other[0, 2], [1.0, 0.5])
 
     def test_parallelogram_cells(self):
         # Midpoints by hand: (0.5,0), (1.25,0.5), (1,1), (0.25,0.5); the
         # bimedians cross at their common midpoint (0.75, 0.5).
-        cells = subdivide(PARALLELOGRAM, 4)
-        assert [c.area for c in cells] == pytest.approx([0.25] * 4, rel=1e-14)
-        for c in cells:
-            assert any(np.allclose(v, [0.75, 0.5]) for v in c.vertices)
-        assert sum(c.area for c in cells) == pytest.approx(1.0, rel=1e-14)
+        verts, areas = subdivide(PARALLELOGRAM, 4)
+        assert list(areas) == pytest.approx([0.25] * 4, rel=1e-14)
+        for v in verts:
+            assert any(np.allclose(p, [0.75, 0.5]) for p in v)
+        assert sum(areas) == pytest.approx(1.0, rel=1e-14)
 
     def test_k1_is_element(self):
-        (cell,) = subdivide(PARALLELOGRAM, 1)
-        assert np.array_equal(cell.vertices, PARALLELOGRAM)
+        (verts,), (area,) = subdivide(PARALLELOGRAM, 1)
+        assert np.array_equal(verts, PARALLELOGRAM)
 
     def test_tiling_property(self, rng):
         for _ in range(50):
@@ -157,10 +158,10 @@ class TestSubdivide:
             area = polygon_area(quad)
             for k in (1, 2, 4):
                 try:
-                    cells = subdivide(quad, k)
+                    _, areas = subdivide(quad, k)
                 except DegenerateElement:
                     continue  # strongly concave; covered by adaptive tests
-                assert sum(c.area for c in cells) == pytest.approx(
+                assert sum(areas) == pytest.approx(
                     area, rel=1e-12
                 )
 
@@ -175,9 +176,9 @@ class TestSubdivide:
         assert polygon_area(dart) > 0
         with pytest.raises(DegenerateElement):
             subdivide(dart, 4)
-        cells, k_used, _ = subdivide_adaptive(dart, 4)
+        (_, areas), k_used, _ = subdivide_adaptive(dart, 4)
         assert k_used in (1, 2)
-        assert sum(c.area for c in cells) == pytest.approx(
+        assert sum(areas) == pytest.approx(
             polygon_area(dart), rel=1e-12
         )
 
@@ -197,26 +198,23 @@ class TestSubdivide:
 
 class TestElementGeometry:
     def test_unit_square(self):
-        area, centroid, convex = element_geometry(UNIT_SQUARE)
-        assert area == 1.0
-        assert np.allclose(centroid, [0.5, 0.5])
-        assert convex
+        assert polygon_area(UNIT_SQUARE) == 1.0
+        assert np.allclose(polygon_centroid(UNIT_SQUARE), [0.5, 0.5])
+        assert check_quads(UNIT_SQUARE[None]).tolist() == [True]
 
     def test_parallelogram(self):
-        area, _, convex = element_geometry(PARALLELOGRAM)
-        assert area == pytest.approx(1.0, abs=1e-15)
-        assert convex
+        assert polygon_area(PARALLELOGRAM) == pytest.approx(1.0, abs=1e-15)
+        assert check_quads(PARALLELOGRAM[None]).tolist() == [True]
 
     def test_chevron_concave(self):
         chevron = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.5], [1.0, 1.0]])
-        area, _, convex = element_geometry(chevron)
-        assert area == pytest.approx(0.75)
-        assert not convex
+        assert polygon_area(chevron) == pytest.approx(0.75)
+        assert check_quads(chevron[None]).tolist() == [False]
 
     def test_degenerate_raises(self):
         cw = UNIT_SQUARE[::-1]
-        with pytest.raises(DegenerateElement):
-            element_geometry(cw)
+        with pytest.raises(InvalidElement, match="element 0: inverted quad"):
+            check_quads(cw[None])
 
     def test_concave_elements_listing(self):
         m = generate_structured_mesh(2, 2, 1, 1)
@@ -262,6 +260,16 @@ class TestTextFormat:
                      id="truncated-after-first-element"),
         pytest.param(TWO_BY_ONE.replace("\n1 1 2 5 4\n", "\n7 1 2 5 4\n"),
                      "line 9: expected element id 1", id="element-id-7"),
+        pytest.param(TWO_BY_ONE.replace("\n0 0 -0.5\n", "\n0 abc 1\n"),
+                     "line 2: could not convert", id="non-numeric-coordinate"),
+        pytest.param(TWO_BY_ONE.replace("\n0 0 -0.5\n", "\nzero 0 -0.5\n"),
+                     "line 2: invalid literal", id="non-integer-node-id"),
+        pytest.param(TWO_BY_ONE.replace("\n1 1 2 5 4\n", "\n1 1 2 5 x\n"),
+                     "line 9: invalid literal", id="non-integer-node-index"),
+        pytest.param(TWO_BY_ONE.replace("edge 0 0 bottom", "edge 0 0.5 bottom"),
+                     "line 10: invalid literal", id="non-integer-local-edge"),
+        pytest.param("nodes two elements 0\n", "line 1: invalid literal",
+                     id="non-integer-count"),
     ])
     def test_bad_header(self, text, message):
         with pytest.raises(ValueError, match=message):

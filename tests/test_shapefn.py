@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from sfem2d.errors import (
     AdjointZero,
-    CoincidentPoints,
+    DegenerateElement,
     NonExistent,
     OffSkeleton,
     WedgeDegenerate,
@@ -19,7 +19,6 @@ from sfem2d.shapefn import (
     eval_lagrange,
     eval_wachspress,
     eval_wachspress_gradient,
-    line_through,
     shape_evaluator,
     table_sites,
 )
@@ -57,30 +56,42 @@ def bilinear_square(p):
 
 
 class TestLineThrough:
+    """The side lines of build_wachspress: line i runs through nodes i and
+    i+1, unit-normalized and positive on the element side."""
+
     def test_x_axis(self):
-        ln = line_through((0, 0), (1, 0), positive_at=(0.5, 1.0))
+        lines = build_wachspress(UNIT_SQUARE)
         pts = np.array([[0.3, 0.7], [2.0, -1.0]])
-        assert np.allclose(ln(pts), pts[:, 1])
-        assert (ln.a, ln.b, ln.c) == (0.0, 1.0, 0.0)
+        assert np.allclose(lines.line_values(pts)[:, 0], pts[:, 1])
+        assert lines.line_normals[0].tolist() == [0.0, 1.0]
 
     def test_parallelogram_side_2_3(self):
         # side from (1,0) to (1.5,1) with the interior on its left:
         # proportional to -(x - y/2 - 1), unit-normalized
-        ln = line_through((1, 0), (1.5, 1), positive_at=(0.75, 0.5))
+        lines = build_wachspress(PARALLELOGRAM)
         s = np.sqrt(1.25)
-        assert (ln.a, ln.b, ln.c) == pytest.approx((-1 / s, 0.5 / s, 1 / s))
-        assert ln(np.array([1.0, 0.0])) == 0.0
-        assert ln(np.array([1.5, 1.0])) == 0.0
+        assert lines.line_normals[1] == pytest.approx([-1 / s, 0.5 / s])
+        assert lines.line_values(np.array([0.0, 0.0]))[1] == pytest.approx(
+            1 / s)
+        # bit-exact zero at both defining points
+        assert lines.line_values(np.array([1.0, 0.0]))[1] == 0.0
+        assert lines.line_values(np.array([1.5, 1.0]))[1] == 0.0
 
     def test_midpoint_on_line(self, rng):
         for _ in range(20):
-            p, q = rng.random(2), rng.random(2) + 1.0
-            ln = line_through(p, q, positive_at=rng.random(2))
-            assert abs(ln(0.5 * (p + q))) < 1e-15
+            quad = random_convex_quad(rng)
+            lines = build_wachspress(quad)
+            values = lines.line_values(quad)
+            mids = lines.line_values(0.5 * (quad + np.roll(quad, -1, axis=0)))
+            for i in range(4):
+                # bit-exact zero at both defining points
+                assert values[i, i] == values[(i + 1) % 4, i] == 0.0
+                assert abs(mids[i, i]) < 1e-15
 
     def test_coincident_points(self):
-        with pytest.raises(CoincidentPoints):
-            line_through((1, 1), (1, 1), positive_at=(0, 0))
+        quad = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(DegenerateElement, match="is undefined"):
+            build_wachspress(quad)
 
 
 class TestWachspress:
@@ -250,10 +261,9 @@ class TestLagrange:
         # degenerate axis-aligned hyperbola x*y = 0, so the {1,x,y,xy} fit
         # has no solution even though the quad is convex with area > 0
         quad = np.array([[1.0, 0.0], [3.0, 0.0], [0.0, 2.0], [0.0, 1.0]])
-        from sfem2d.mesh import element_geometry
+        from sfem2d.mesh import check_quads, polygon_area
 
-        area, _, convex = element_geometry(quad)
-        assert area > 0 and convex
+        assert polygon_area(quad) > 0 and check_quads(quad[None])[0]
         with pytest.raises(NonExistent):
             build_lagrange(quad)
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from sfem2d.errors import ZeroArea
-from sfem2d.mesh import SmoothingCell, subdivide
+from sfem2d.errors import DegenerateElement
+from sfem2d.mesh import subdivide
 from sfem2d.shapefn import shape_evaluator
 from sfem2d.smoothing import (
     MaterialModel,
@@ -65,6 +65,15 @@ class TestElasticityMatrix:
         with pytest.raises(ValueError):
             MaterialModel(1.0, 0.3, thickness=0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_material(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MaterialModel(bad, 0.3)
+        with pytest.raises(ValueError, match="finite"):
+            MaterialModel(1.0, 0.3, thickness=bad)
+        with pytest.raises(ValueError):
+            MaterialModel(1.0, bad)
+
 
 class TestSmoothedB:
     @pytest.mark.parametrize("scheme", ["wachspress", "averaged", "lagrange"])
@@ -73,17 +82,17 @@ class TestSmoothedB:
         quad = random_convex_quad(rng)
         ev = shape_evaluator(scheme, quad, k)
         u = np.tile([0.7, -0.3], 4)
-        for cell in subdivide(quad, k):
-            bm = smoothed_b(cell, boundary_flux(cell.vertices, ev,
-                                                 default_quadrature(scheme)))
+        for verts, area in zip(*subdivide(quad, k)):
+            bm = smoothed_b(area, boundary_flux(verts, ev,
+                                                default_quadrature(scheme)))
             assert np.abs(bm @ u).max() < 1e-12
 
     def test_linear_field_unit_square(self):
         ev = shape_evaluator("wachspress", UNIT_SQUARE, 1)
-        (cell,) = subdivide(UNIT_SQUARE, 1)
+        (verts,), (area,) = subdivide(UNIT_SQUARE, 1)
         u = UNIT_SQUARE[:, 0]  # u = (x, 0)
         uvec = np.column_stack([u, np.zeros(4)]).ravel()
-        bm = smoothed_b(cell, boundary_flux(cell.vertices, ev))
+        bm = smoothed_b(area, boundary_flux(verts, ev))
         assert bm @ uvec == pytest.approx([1.0, 0.0, 0.0], abs=1e-14)
 
     def test_affine_field_reproduced_on_convex_quads(self, rng):
@@ -96,8 +105,8 @@ class TestSmoothedB:
             u = (quad @ a.T + b).ravel()
             expected = [a[0, 0], a[1, 1], a[0, 1] + a[1, 0]]
             ev = shape_evaluator("wachspress", quad, 4)
-            for cell in subdivide(quad, 4):
-                eps = smoothed_b(cell, boundary_flux(cell.vertices, ev, 2)) @ u
+            for verts, area in zip(*subdivide(quad, 4)):
+                eps = smoothed_b(area, boundary_flux(verts, ev, 2)) @ u
                 assert eps == pytest.approx(expected, abs=1e-10)
 
     def test_averaged_midpoint_equals_wachspress_on_square(self):
@@ -105,9 +114,9 @@ class TestSmoothedB:
         # single-midpoint averaged rule and 2-point Gauss agree exactly
         ev_a = shape_evaluator("wachspress", UNIT_SQUARE, 4)
         ev_b = shape_evaluator("averaged", UNIT_SQUARE, 4)
-        for cell in subdivide(UNIT_SQUARE, 4):
-            ba = smoothed_b(cell, boundary_flux(cell.vertices, ev_a, 2))
-            bb = smoothed_b(cell, boundary_flux(cell.vertices, ev_b, 1))
+        for verts, area in zip(*subdivide(UNIT_SQUARE, 4)):
+            ba = smoothed_b(area, boundary_flux(verts, ev_a, 2))
+            bb = smoothed_b(area, boundary_flux(verts, ev_b, 1))
             assert np.abs(ba - bb).max() < 1e-12
 
     def test_closed_boundary_normal_integral(self, rng):
@@ -117,25 +126,21 @@ class TestSmoothedB:
             quad = random_simple_quad(rng)
             for k in (1, 2, 4):
                 try:
-                    cells = subdivide(quad, k)
+                    cells, _ = subdivide(quad, k)
                 except Exception:
                     continue
-                for cell in cells:
-                    flux = boundary_flux(cell.vertices, ones, 2)
+                for verts in cells:
+                    flux = boundary_flux(verts, ones, 2)
                     perimeter = sum(
-                        np.hypot(*(cell.vertices[(s + 1) % len(cell.vertices)]
-                                   - cell.vertices[s]))
-                        for s in range(len(cell.vertices))
+                        np.hypot(*(verts[(s + 1) % len(verts)] - verts[s]))
+                        for s in range(len(verts))
                     )
                     assert np.abs(flux.sum(axis=0)).max() < 1e-12 * perimeter
 
     def test_zero_area_cell(self):
-        cell = SmoothingCell(
-            vertices=UNIT_SQUARE, area=0.0, parent_element=0
-        )
-        with pytest.raises(ZeroArea):
-            smoothed_b(cell, boundary_flux(
-                cell.vertices, shape_evaluator("wachspress", UNIT_SQUARE, 1)))
+        with pytest.raises(DegenerateElement):
+            smoothed_b(0.0, boundary_flux(
+                UNIT_SQUARE, shape_evaluator("wachspress", UNIT_SQUARE, 1)))
 
 
 class TestElementStiffness:

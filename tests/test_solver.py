@@ -231,5 +231,13 @@ class TestCellStrains:
              -0.05 * coords[:, 0] + 0.3 * coords[:, 1]]
         ).ravel()
         for scheme in ("wachspress", "averaged"):
-            for cell, eps in cell_strains(m, u, scheme, 4):
+            for eps in cell_strains(m, u, scheme, 4)[2]:
                 assert eps == pytest.approx([0.2, 0.3, 0.05], abs=1e-13)
+
+    @pytest.mark.parametrize("scheme", ["wachspress", "averaged", "lagrange"])
+    def test_self_crossing_element_rejected_before_smoothing(self, scheme):
+        # signed area +1, but sides 2-3 and 4-1 cross
+        m = Mesh([(0, 0), (3, 0), (0, 1), (1, 2)], [[0, 1, 2, 3]], [])
+        with pytest.raises(InvalidElement,
+                           match="element 0: self-intersecting quad"):
+            cell_strains(m, np.zeros(8), scheme, 4)
