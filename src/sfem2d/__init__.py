@@ -59,6 +59,7 @@ from .smoothing import (
     MaterialModel,
     elasticity_matrix,
     element_b_matrices,
+    element_cells,
     element_stiffness,
     smoothed_b,
 )

@@ -47,19 +47,33 @@ class DistortionSpec:
             raise ValueError(f"alpha_ir must be in [0, 0.5], got {self.alpha_ir}")
 
 
+class _BadRow(ValueError):
+    """A Mesh check that failed on row ``index`` of the node coordinates
+    (``kind`` "node") or of the boundary edges (``kind`` "edge")."""
+
+    def __init__(self, kind, index, message):
+        super().__init__(message)
+        self.kind, self.index = kind, index
+
+
 class Mesh:
-    """Node coordinates (N, 2), CCW quad connectivity (E, 4), boundary edges."""
+    """Node coordinates (N, 2), CCW quad connectivity (E, 4), boundary
+    edges. Both arrays are read-only copies of the input."""
 
     def __init__(self, coords, conn, boundary_edges):
         self.coords = np.array(coords, dtype=float).reshape(-1, 2)
         self.conn = np.array(conn, dtype=int).reshape(-1, 4)
+        self.coords.flags.writeable = False
+        self.conn.flags.writeable = False
         self.boundary_edges = list(boundary_edges)
         self._validate()
 
     def _validate(self):
         n, ne = self.num_nodes, self.num_elements
-        if not np.isfinite(self.coords).all():
-            raise ValueError("node coordinates must be finite")
+        finite = np.isfinite(self.coords).all(axis=1)
+        if not finite.all():
+            raise _BadRow("node", int(np.argmin(finite)),
+                          "node coordinates must be finite")
         srt = np.sort(self.conn, axis=1)
         repeated = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
         out_of_range = ((self.conn < 0) | (self.conn >= n)).any(axis=1)
@@ -74,15 +88,15 @@ class Mesh:
                                        return_inverse=True, return_counts=True)
         owners = counts[inverse].reshape(-1, 4)
         seen = set()
-        for be in self.boundary_edges:
+        for i, be in enumerate(self.boundary_edges):
             key = (be.element, be.local_edge)
             if not (0 <= be.element < ne and 0 <= be.local_edge < 4):
-                raise ValueError(f"boundary edge {key} out of range")
+                raise _BadRow("edge", i, f"boundary edge {key} out of range")
             if key in seen:
-                raise ValueError(f"duplicate boundary edge {key}")
+                raise _BadRow("edge", i, f"duplicate boundary edge {key}")
             if owners[key] > 1:
-                raise ValueError(f"boundary edge {key} is shared by two "
-                                 "elements")
+                raise _BadRow("edge", i, f"boundary edge {key} is shared "
+                              "by two elements")
             seen.add(key)
 
     @property
@@ -386,7 +400,11 @@ def mesh_from_text(text):
                 raise ValueError(f"expected boundary edge line, got {row}")
     except ValueError as err:  # int() and float() do not name the line
         raise ValueError(f"line {lineno}: {err}") from err
-    return Mesh(coords, conn, boundary)
+    try:
+        return Mesh(coords, conn, boundary)
+    except _BadRow as err:  # node rows follow the header, edge rows come last
+        first = 1 if err.kind == "node" else 1 + n + e
+        raise ValueError(f"line {rows[first + err.index][0]}: {err}") from err
 
 
 def write_mesh_text(mesh, path):

@@ -106,10 +106,10 @@ def smoothed_b(area, flux):
     return b
 
 
-def element_b_matrices(quad, k_cells, scheme, n_points=None, split="12-34"):
-    """Smoothing cells of one element and the smoothed 3x8 B matrix of
-    each, as ((vertices (k, 4, 2), areas (k,)), [B]); one evaluator call
-    covers every cell.
+def element_cells(quad, k_cells, scheme, n_points=None, split="12-34"):
+    """Smoothing cells of one element and the boundary flux of each, as
+    (vertices (k, 4, 2), areas (k,), fluxes (k, 4, 2)); one evaluator
+    call covers every cell.
 
     A strongly concave element whose requested cells would invert is
     smoothed over fewer cells (see subdivide_adaptive).
@@ -123,7 +123,14 @@ def element_b_matrices(quad, k_cells, scheme, n_points=None, split="12-34"):
         log.debug("element too concave for %d cells; smoothed with %d",
                   k_cells, k_used)
     evaluator = shape_evaluator(scheme, quad, k_used, split_used)
-    fluxes = boundary_flux(verts, evaluator, n_points)
+    return verts, areas, boundary_flux(verts, evaluator, n_points)
+
+
+def element_b_matrices(quad, k_cells, scheme, n_points=None, split="12-34"):
+    """element_cells with each cell's flux turned into its smoothed 3x8 B
+    matrix, as ((vertices (k, 4, 2), areas (k,)), [B])."""
+    verts, areas, fluxes = element_cells(quad, k_cells, scheme, n_points,
+                                         split)
     return (verts, areas), [smoothed_b(a, f) for a, f in zip(areas, fluxes)]
 
 
@@ -131,6 +138,8 @@ def element_b_matrices(quad, k_cells, scheme, n_points=None, split="12-34"):
 class ElementStiffness:
     k: np.ndarray                # (8, 8)
     cells: np.ndarray            # (k_used, 4, 2) smoothing-cell vertices
+    areas: np.ndarray            # (k_used,) cell areas
+    fluxes: np.ndarray           # (k_used, 4, 2) boundary_flux of each cell
     zero_modes: int              # eigenvalues below 1e-9 * max
 
     @property
@@ -146,17 +155,19 @@ def element_stiffness(quad, k_cells, scheme, material, n_points=None,
     k_cells=1 is permitted but known to carry spurious zero-energy modes;
     a rank check runs on every element and warns when they appear.
     """
-    (verts, areas), bmats = element_b_matrices(quad, k_cells, scheme,
-                                               n_points, split)
+    verts, areas, fluxes = element_cells(quad, k_cells, scheme, n_points,
+                                         split)
     d = elasticity_matrix(material)
     t = material.thickness
     k = np.zeros((8, 8))
-    for area, b in zip(areas, bmats):
+    for area, flux in zip(areas, fluxes):
+        b = smoothed_b(area, flux)
         k += (b.T @ d @ b) * (area * t)
     k = 0.5 * (k + k.T)
     eigs = np.linalg.eigvalsh(k)
     zero_modes = int(np.sum(eigs < 1e-9 * max(eigs.max(), 0.0)))
-    stiff = ElementStiffness(k=k, cells=verts, zero_modes=zero_modes)
+    stiff = ElementStiffness(k=k, cells=verts, areas=areas, fluxes=fluxes,
+                             zero_modes=zero_modes)
     if k_cells == 1 and stiff.spurious_modes:
         warnings.warn(
             f"single-cell smoothing leaves {stiff.spurious_modes} spurious "

@@ -9,6 +9,7 @@ evaluated through the unreduced stiffness so prescribed DOFs contribute.
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,9 +27,16 @@ from .shapefn import shape_evaluator
 from .smoothing import (
     GAUSS_1D,
     check_quadrature,
-    element_b_matrices,
+    default_quadrature,
+    element_cells,
     element_stiffness,
+    smoothed_b,
 )
+
+# The smoothing cells of each mesh's last assemble, kept for its error
+# pass: mesh -> (cells key, coords, conn, stacked cells). Mesh arrays are
+# read-only, so an entry holds while the mesh keeps the same two arrays.
+_ASSEMBLED_CELLS = weakref.WeakKeyDictionary()
 
 
 def element_dofs(mesh):
@@ -54,21 +62,61 @@ class Solution:
     reactions: np.ndarray
 
 
+def _cells_key(scheme, k_cells, n_points, split):
+    """The key of a smoothing pass, with n_points resolved."""
+    if n_points is None:
+        n_points = default_quadrature(scheme)
+    return scheme, k_cells, n_points, split
+
+
+def _of_element(e, fn, *args, **kwargs):
+    """fn(*args, **kwargs) for element e; a scheme error names e."""
+    try:
+        return fn(*args, **kwargs)
+    except SfemError as err:
+        raise type(err)(f"element {e}: {err}") from err
+
+
+def _stack_cells(n_elements, per_element):
+    """Stack the (vertices, areas, fluxes) of each element, in element
+    order, into read-only (n, 4, 2), (n,) and (n, 4, 2) arrays; returns
+    them with the cell count of each element."""
+    verts = np.empty((4 * n_elements, 4, 2))  # at most four cells each
+    areas = np.empty(len(verts))
+    fluxes = np.empty_like(verts)
+    counts = np.empty(n_elements, dtype=int)
+    n = 0
+    for e, (cv, ca, cf) in enumerate(per_element):
+        counts[e] = len(ca)
+        verts[n:n + len(ca)] = cv
+        areas[n:n + len(ca)] = ca
+        fluxes[n:n + len(ca)] = cf
+        n += len(ca)
+    cells = verts[:n], areas[:n], fluxes[:n], counts
+    for a in cells:
+        a.flags.writeable = False
+    return cells
+
+
 def assemble(mesh, scheme, k_cells, material, n_points=None, split="12-34"):
     """Scatter element stiffness into a sparse symmetric global matrix;
-    raises InvalidElement for the first inverted or self-crossing element."""
+    raises InvalidElement for the first inverted or self-crossing element.
+    The smoothing cells and their fluxes are kept for cell_strains on the
+    same mesh."""
     quads = mesh.coords[mesh.conn]
     check_quads(quads)
     vals = []
-    for e, quad in enumerate(quads):
-        try:
-            ke = element_stiffness(
-                quad, k_cells, scheme, material,
-                n_points=n_points, split=split,
-            )
-        except SfemError as err:
-            raise type(err)(f"element {e}: {err}") from err
-        vals.append(ke.k.ravel())
+
+    def stiffness():
+        for e, quad in enumerate(quads):
+            ke = _of_element(e, element_stiffness, quad, k_cells, scheme,
+                             material, n_points=n_points, split=split)
+            vals.append(ke.k.ravel())
+            yield ke.cells, ke.areas, ke.fluxes
+
+    cells = _stack_cells(len(quads), stiffness())
+    _ASSEMBLED_CELLS[mesh] = (_cells_key(scheme, k_cells, n_points, split),
+                              mesh.coords, mesh.conn, cells)
     edofs = element_dofs(mesh)
     rows = np.repeat(edofs, 8, axis=1).ravel()  # ke row-major
     cols = np.tile(edofs, 8).ravel()
@@ -205,22 +253,27 @@ def solve(system):
 
 def cell_strains(mesh, u, scheme, k_cells, n_points=None, split="12-34"):
     """Smoothed strain per cell, element by element, as (vertices
-    (n, 4, 2), areas (n,), strains (n, 3)); raises InvalidElement for the
-    first inverted or self-crossing element."""
-    quads = mesh.coords[mesh.conn]
-    check_quads(quads)
-    edofs = element_dofs(mesh)
-    verts = np.empty((4 * len(quads), 4, 2))  # at most four cells each
-    areas = np.empty(len(verts))
-    strains = np.empty((len(verts), 3))
-    n = 0
-    for e, quad in enumerate(quads):
-        (cv, ca), bmats = element_b_matrices(quad, k_cells, scheme, n_points,
-                                             split)
-        ue = u[edofs[e]]
-        verts[n:n + len(ca)] = cv
-        areas[n:n + len(ca)] = ca
-        for b in bmats:
-            strains[n] = b @ ue
-            n += 1
-    return verts[:n], areas[:n], strains[:n]
+    (n, 4, 2), areas (n,), strains (n, 3)); the vertices and areas are
+    read-only.
+
+    After assemble on this mesh with the same scheme, k_cells, n_points
+    and split, the cells and fluxes of that pass are reused. Otherwise
+    they are built here, and the first inverted or self-crossing element
+    raises InvalidElement.
+    """
+    key, coords, conn, cells = _ASSEMBLED_CELLS.get(mesh, (None,) * 4)
+    if (key == _cells_key(scheme, k_cells, n_points, split)
+            and coords is mesh.coords and conn is mesh.conn):
+        verts, areas, fluxes, counts = cells
+    else:
+        quads = mesh.coords[mesh.conn]
+        check_quads(quads)
+        verts, areas, fluxes, counts = _stack_cells(len(quads), (
+            _of_element(e, element_cells, quad, k_cells, scheme, n_points,
+                        split)
+            for e, quad in enumerate(quads)))
+    ue = u[np.repeat(element_dofs(mesh), counts, axis=0)]  # (n, 8)
+    strains = np.empty((len(areas), 3))
+    for c, (area, flux) in enumerate(zip(areas, fluxes)):
+        strains[c] = smoothed_b(area, flux) @ ue[c]
+    return verts, areas, strains

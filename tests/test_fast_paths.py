@@ -3,10 +3,12 @@ replaced: the blocked error quadrature, the roll-free polygon helpers,
 the whole-mesh element checks of distort_mesh, the array Wachspress
 construction, the batched skeleton search, the site, cell and flux
 formulas of the per-cell smoothing step, the stacked cell-boundary
-flux of each element, the retry-free concave fallback and the array
-strain recovery."""
+flux of each element, the retry-free concave fallback, the array
+strain recovery and its reuse of the cells and fluxes of assemble."""
 
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sfem2d import benchmarks, solver
+from sfem2d import benchmarks, smoothing, solver
 from sfem2d.benchmarks import (
     TimoshenkoBeam,
     beam_mesh,
@@ -55,13 +57,14 @@ from sfem2d.shapefn import (
 )
 from sfem2d.smoothing import (
     GAUSS_1D,
+    MaterialModel,
     boundary_flux,
     default_quadrature,
     elasticity_matrix,
     element_b_matrices,
     smoothed_b,
 )
-from sfem2d.solver import cell_strains, element_dofs
+from sfem2d.solver import assemble, cell_strains, element_dofs
 
 from conftest import interior_points, random_convex_quad, random_simple_quad
 
@@ -523,17 +526,23 @@ class TestCellFormulas:
                 np.testing.assert_array_equal(fast, slow)
 
 
-def b_matrices_per_cell(quad, k_cells, scheme, n_points=None, split="12-34"):
-    """element_b_matrices with one boundary_flux call per cell (its form
+def cells_per_cell(quad, k_cells, scheme, n_points=None, split="12-34"):
+    """element_cells with one boundary_flux call per cell (its form
     before the cells of an element were stacked)."""
     if n_points is None:
         n_points = default_quadrature(scheme)
     (verts, areas), k_used, split_used = subdivide_adaptive(quad, k_cells,
                                                             split)
     evaluator = shape_evaluator(scheme, quad, k_used, split_used)
-    return (verts, areas), [smoothed_b(a, boundary_flux(v, evaluator,
-                                                        n_points))
-                            for v, a in zip(verts, areas)]
+    return verts, areas, np.array([boundary_flux(v, evaluator, n_points)
+                                   for v in verts])
+
+
+def b_matrices_per_cell(quad, k_cells, scheme, n_points=None, split="12-34"):
+    """element_b_matrices from the per-cell fluxes of cells_per_cell."""
+    verts, areas, fluxes = cells_per_cell(quad, k_cells, scheme, n_points,
+                                          split)
+    return (verts, areas), [smoothed_b(a, f) for a, f in zip(areas, fluxes)]
 
 
 def strains_by_element(mesh, u, scheme, k_cells):
@@ -635,7 +644,7 @@ class TestStackedFlux:
         fast_error = energy_norm_error(mesh, u, BEAM, scheme, 4)
         by_element = strains_by_element(mesh, u, scheme, 4)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "element_b_matrices", b_matrices_per_cell)
+            mp.setattr(solver, "element_cells", cells_per_cell)
             slow_strains = cell_strains(mesh, u, scheme, 4)
             slow_error = energy_norm_error(mesh, u, BEAM, scheme, 4)
         assert len(fast_strains[0]) == 4 * 507 + 2 * 5
@@ -663,3 +672,131 @@ class TestRetryFreeFallback:
         assert (k_used, split_used) == (slow_k, slow_split)
         np.testing.assert_array_equal(verts, [v for v, _ in cells])
         assert areas.tolist() == [a for _, a in cells]
+
+
+def distorted_grid(nx, ny, alpha, seed):
+    """An nx-by-ny grid over [0, 2] x [0, 1], distorted when the draw
+    keeps every element valid."""
+    mesh = generate_structured_mesh(nx, ny, 2.0, 1.0)
+    try:
+        return distort_mesh(mesh, DistortionSpec(alpha, seed), 2.0 / nx,
+                            1.0 / ny)
+    except InvalidElement:
+        return mesh
+
+
+def copy_mesh(mesh):
+    """An equal mesh with no assemble behind it."""
+    return Mesh(mesh.coords, mesh.conn, mesh.boundary_edges)
+
+
+def recovered(mesh, u, scheme, k, n_points, split):
+    """cell_strains and energy_norm_error, or what they raised."""
+    try:
+        return (cell_strains(mesh, u, scheme, k, n_points, split),
+                energy_norm_error(mesh, u, BEAM, scheme, k, n_points, split))
+    except SfemError as err:
+        return type(err), str(err)
+
+
+def assert_same_recovery(fast, slow):
+    if isinstance(slow[0], type):
+        assert fast == slow
+        return
+    (fast_cells, fast_error), (slow_cells, slow_error) = fast, slow
+    for fast_part, slow_part in zip(fast_cells, slow_cells):
+        assert fast_part.dtype == slow_part.dtype
+        np.testing.assert_array_equal(fast_part, slow_part)
+    assert fast_error == slow_error
+
+
+def counting(mp, module, name, calls):
+    """Count the calls of module.name in calls[name]."""
+    fn = getattr(module, name)
+    calls[name] = 0
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    mp.setattr(module, name, counted)
+
+
+FALLBACK_MESH = beam_mesh(BEAM, 4, 0.5, 0)   # 5 elements fall back to 2 cells
+# (scheme, k_cells, n_points, split) of a smoothing pass
+CELL_KEYS = st.tuples(SCHEMES, st.sampled_from([1, 2, 4]),
+                      st.one_of(st.none(), st.integers(1, 4)), SPLITS)
+
+
+@pytest.mark.filterwarnings("ignore:single-cell smoothing")
+class TestAssembledCellsReuse:
+    @settings(max_examples=60, deadline=None)
+    @given(mesh=st.builds(distorted_grid, st.integers(1, 4),
+                          st.integers(1, 3), st.floats(0.0, 0.5), SEEDS),
+           key=CELL_KEYS, other=st.one_of(st.none(), CELL_KEYS),
+           useed=SEEDS)
+    @example(mesh=FALLBACK_MESH, key=("wachspress", 4, 2, "12-34"),
+             other=None, useed=0)
+    def test_bit_equal_to_a_mesh_never_assembled(self, mesh, key, other,
+                                                 useed):
+        # other: recover with another key than assemble's (None: the same)
+        scheme, k, n_points, split = key
+        u = 1e-4 * np.random.default_rng(useed).standard_normal(
+            2 * mesh.num_nodes)
+        try:
+            assemble(mesh, scheme, k, BEAM.material, n_points, split)
+        except SfemError:
+            pass   # nothing kept: both meshes build their cells and raise
+        args = (u,) + (other or key)
+        assert_same_recovery(recovered(mesh, *args),
+                             recovered(copy_mesh(mesh), *args))
+
+    def test_other_cell_count_rebuilds(self):
+        mesh = copy_mesh(FALLBACK_MESH)
+        u = 1e-4 * np.random.default_rng(1).standard_normal(
+            2 * mesh.num_nodes)
+        assemble(mesh, "wachspress", 4, BEAM.material)
+        args = (u, "wachspress", 2, None, "12-34")
+        assert_same_recovery(recovered(mesh, *args),
+                             recovered(copy_mesh(mesh), *args))
+
+    def test_reuse_builds_no_cell_and_one_b_per_cell(self):
+        mesh = copy_mesh(FALLBACK_MESH)
+        assemble(mesh, "wachspress", 4, BEAM.material)
+        calls = {}
+        with pytest.MonkeyPatch.context() as mp:
+            for module, name in ((smoothing, "shape_evaluator"),
+                                 (smoothing, "subdivide_adaptive"),
+                                 (solver, "check_quads"),
+                                 (solver, "smoothed_b")):
+                counting(mp, module, name, calls)
+            verts, _, _ = cell_strains(mesh, np.zeros(2 * mesh.num_nodes),
+                                       "wachspress", 4)
+        assert len(verts) == 4 * 507 + 2 * 5
+        assert calls == {"shape_evaluator": 0, "subdivide_adaptive": 0,
+                         "check_quads": 0, "smoothed_b": len(verts)}
+
+    def test_replaced_coordinates_rebuild(self):
+        mesh = generate_structured_mesh(2, 2, 2.0, 1.0)
+        u = 1e-3 * np.arange(2 * mesh.num_nodes)
+        assemble(mesh, "wachspress", 4, MaterialModel(1.0, 0.3))
+        moved = distorted_grid(2, 2, 0.4, 3)   # moves the center node
+        mesh.coords = moved.coords
+        args = (u, "wachspress", 4, None, "12-34")
+        assert_same_recovery(recovered(mesh, *args), recovered(moved, *args))
+
+    def test_mesh_arrays_are_read_only(self):
+        mesh = generate_structured_mesh(2, 1, 2.0, 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.coords[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.conn[0, 0] = 1
+
+    def test_kept_cells_do_not_keep_the_mesh(self):
+        mesh = generate_structured_mesh(2, 1, 2.0, 1.0)
+        assemble(mesh, "wachspress", 4, MaterialModel(1.0, 0.3))
+        assert mesh in solver._ASSEMBLED_CELLS
+        ref = weakref.ref(mesh)
+        del mesh
+        gc.collect()
+        assert ref() is None

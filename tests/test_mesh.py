@@ -295,13 +295,17 @@ class TestMeshValidation:
     ONE_QUAD = "nodes 4 elements 1\n0 0 0\n{}\n2 1 1\n3 0 1\n0 0 1 2 3\n{}\n"
 
     @pytest.mark.parametrize("text, message", [
-        (ONE_QUAD.format("1 1 0", "edge 5 0 left"), "out of range"),
-        (ONE_QUAD.format("1 1 0", "edge -1 0 left"), "out of range"),
-        (ONE_QUAD.format("1 1 0", "edge 0 7 left"), "out of range"),
-        (ONE_QUAD.format("1 nan 0", "edge 0 3 left"), "finite"),
-        (TWO_BY_ONE + "edge 0 1 left\n", "shared by two elements"),
+        (ONE_QUAD.format("1 1 0", "edge 5 0 left"), "line 7: .*out of range"),
+        (ONE_QUAD.format("1 1 0", "edge -1 0 left"),
+         "line 7: .*out of range"),
+        (ONE_QUAD.format("1 1 0", "edge 0 7 left"), "line 7: .*out of range"),
+        (ONE_QUAD.format("1 nan 0", "edge 0 3 left"), "line 3: .*finite"),
+        (TWO_BY_ONE + "edge 0 1 left\n",
+         "line 16: .*shared by two elements"),
+        (TWO_BY_ONE + "edge 0 0 bottom\n",
+         r"line 16: duplicate boundary edge \(0, 0\)"),
     ], ids=["element-past-end", "negative-element", "local-edge", "nan",
-            "interior-edge"])
+            "interior-edge", "duplicate-edge"])
     def test_bad_edge_or_coordinate(self, text, message):
         with pytest.raises(ValueError, match=message):
             mesh_from_text(text)

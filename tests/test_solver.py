@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from sfem2d.errors import (
     AllDofsFixed,
     InvalidElement,
+    NonExistent,
     SingularSystem,
     UnknownTag,
 )
@@ -241,3 +242,10 @@ class TestCellStrains:
         with pytest.raises(InvalidElement,
                            match="element 0: self-intersecting quad"):
             cell_strains(m, np.zeros(8), scheme, 4)
+
+    def test_scheme_error_names_its_element(self):
+        # simple and CCW, but the lagrange moment matrix is singular
+        m = Mesh([(1, 0), (3, 0), (0, 2), (0, 1)], [[0, 1, 2, 3]], [])
+        with pytest.raises(NonExistent, match="element 0: nodal moment "
+                           "matrix is singular"):
+            cell_strains(m, np.zeros(8), "lagrange", 4)
