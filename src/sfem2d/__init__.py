@@ -38,7 +38,6 @@ from .mesh import (
     mesh_from_text,
     mesh_to_text,
     read_mesh_text,
-    subdivide,
     subdivide_adaptive,
     table_sites,
     write_mesh_text,
@@ -58,7 +57,6 @@ from .smoothing import (
     ElementStiffness,
     MaterialModel,
     elasticity_matrix,
-    element_b_matrices,
     element_cells,
     element_stiffness,
     smoothed_b,

@@ -58,14 +58,15 @@ class _BadRow(ValueError):
 
 class Mesh:
     """Node coordinates (N, 2), CCW quad connectivity (E, 4), boundary
-    edges. Both arrays are read-only copies of the input."""
+    edges. Both arrays are read-only copies of the input, and the
+    boundary edges a tuple."""
 
     def __init__(self, coords, conn, boundary_edges):
         self.coords = np.array(coords, dtype=float).reshape(-1, 2)
         self.conn = np.array(conn, dtype=int).reshape(-1, 4)
         self.coords.flags.writeable = False
         self.conn.flags.writeable = False
-        self.boundary_edges = list(boundary_edges)
+        self.boundary_edges = tuple(boundary_edges)
         self._validate()
 
     def _validate(self):
@@ -130,11 +131,15 @@ def vertex_successors(m):
 
 
 def polygon_area(pts):
-    """Signed shoelace area of a closed CCW polygon given as (m, 2)."""
+    """Signed shoelace area of a closed CCW polygon, (m, 2) -> float, or
+    of each polygon of a stack, (..., m, 2) -> (...)."""
     pts = np.asarray(pts, dtype=float)
-    x, y = pts[:, 0], pts[:, 1]
-    nxt = vertex_successors(len(pts))
-    return 0.5 * float(np.dot(x, y[nxt]) - np.dot(x[nxt], y))
+    x, y = pts[..., 0], pts[..., 1]
+    nxt = vertex_successors(pts.shape[-2])
+    # row-by-column products: each area is a BLAS dot, as for one polygon
+    area = 0.5 * (x[..., None, :] @ y[..., nxt, None]
+                  - x[..., None, nxt] @ y[..., :, None])[..., 0, 0]
+    return float(area) if area.ndim == 0 else area
 
 
 def polygon_centroid(pts):
@@ -165,32 +170,24 @@ def _segments_properly_intersect(p1, p2, p3, p4):
             & (d2 != 0) & (d3 != 0) & (d4 != 0))
 
 
-def _quad_flags(quads):
-    """Signed shoelace area, self-crossing flag (a proper crossing of
-    either pair of opposite sides) and convexity flag (consecutive edge
-    cross products of one sign) of each quad of an (E, 4, 2) array."""
-    nxt = vertex_successors(4)
-    x, y = quads[..., 0], quads[..., 1]
-    area = 0.5 * ((x * y[:, nxt]).sum(axis=1) - (x[:, nxt] * y).sum(axis=1))
+def check_quads(quads, inverted="inverted quad (signed area <= 0)",
+                crossing="self-intersecting quad"):
+    """Convexity flag (consecutive edge cross products of one sign) of
+    each quad of an (E, 4, 2) array; raises InvalidElement with the
+    matching reason for the first quad that is inverted or crosses
+    itself (a proper crossing of either pair of opposite sides)."""
+    area = polygon_area(quads)
     p1, p2, p3, p4 = quads.transpose(1, 0, 2)
     crossed = (_segments_properly_intersect(p1, p2, p3, p4)
                | _segments_properly_intersect(p2, p3, p4, p1))
-    edges = quads[:, nxt] - quads
-    turn = edges[..., 0] * edges[:, nxt, 1] - edges[..., 1] * edges[:, nxt, 0]
-    return area, crossed, (turn > 0).all(axis=1) | (turn < 0).all(axis=1)
-
-
-def check_quads(quads, inverted="inverted quad (signed area <= 0)",
-                crossing="self-intersecting quad"):
-    """Convexity flag of each quad of an (E, 4, 2) array; raises
-    InvalidElement with the matching reason for the first quad that is
-    inverted or crosses itself."""
-    area, crossed, convex = _quad_flags(quads)
     bad = np.flatnonzero((area <= 0.0) | crossed)
     if bad.size:
         e = int(bad[0])
         raise InvalidElement(e, inverted if area[e] <= 0.0 else crossing)
-    return convex
+    nxt = vertex_successors(4)
+    edges = quads[:, nxt] - quads
+    turn = edges[..., 0] * edges[:, nxt, 1] - edges[..., 1] * edges[:, nxt, 0]
+    return (turn > 0).all(axis=1) | (turn < 0).all(axis=1)
 
 
 def generate_structured_mesh(nx, ny, length, height):
@@ -296,46 +293,24 @@ def subdivision_key(k, split):
     return (k, split if k == 2 else None)
 
 
-def _cells(quad, k, split):
-    """Vertices (k, 4, 2) and signed areas (k,) of the k bimedian cells."""
-    quad = np.asarray(quad, dtype=float)
-    if quad.shape != (4, 2):
-        raise ValueError("quad must be a (4, 2) coordinate array")
-    verts = table_sites(quad)[_CELL_INDEX[subdivision_key(k, split)]]
-    return verts, np.array([polygon_area(v) for v in verts])
-
-
-def _inverted_cell(areas):
-    return DegenerateElement(
-        f"smoothing cell has area {float(areas[areas <= 0.0][0])}")
-
-
-def subdivide(quad, k, split="12-34"):
+def subdivide_adaptive(quad, k, split="12-34"):
     """Split a CCW quad (given as (4, 2) corner coordinates) into k
-    smoothing cells, returned as their CCW vertices (k, 4, 2) and areas
-    (k,).
+    smoothing cells, with a deterministic fallback for strongly concave
+    elements whose bimedian cells invert.
 
     k=1 keeps the element; k=4 uses both bimedians (cells meet at the
     bimedian intersection); k=2 uses one bimedian, by default the one
     joining the midpoints of sides 1-2 and 3-4 (split="12-34"); pass
-    split="23-41" for the other orientation. The cells tile the element;
-    a cell of area <= 0 raises DegenerateElement.
+    split="23-41" for the other orientation. The cells tile the element.
+    On a cell of area <= 0, k=4 falls back to the two-cell splits (both
+    orientations) and k=2 to the other split, then both to the single
+    cell, which is always valid for a simple CCW quad; a cell of area
+    <= 0 in the last attempt raises DegenerateElement. Returns
+    ((vertices (k_used, 4, 2), areas (k_used,)), k_used, split_used).
     """
-    verts, areas = _cells(quad, k, split)
-    if not (areas > 0.0).all():
-        raise _inverted_cell(areas)
-    return verts, areas
-
-
-def subdivide_adaptive(quad, k, split="12-34"):
-    """Subdivision with a deterministic fallback for strongly concave
-    elements whose bimedian cells invert.
-
-    Tries the requested (k, split); on an inverted cell falls back to the
-    two-cell splits (both orientations) and finally to the single cell,
-    which is always valid for a simple CCW quad. Returns
-    ((vertices, areas), k_used, split_used).
-    """
+    quad = np.asarray(quad, dtype=float)
+    if quad.shape != (4, 2):
+        raise ValueError("quad must be a (4, 2) coordinate array")
     if k == 4:
         attempts = [(4, split), (2, "12-34"), (2, "23-41"), (1, split)]
     elif k == 2:
@@ -343,11 +318,14 @@ def subdivide_adaptive(quad, k, split="12-34"):
         attempts = [(2, split), (2, other), (1, split)]
     else:
         attempts = [(k, split)]
+    sites = table_sites(quad)
     for kk, ss in attempts:
-        verts, areas = _cells(quad, kk, ss)
+        verts = sites[_CELL_INDEX[subdivision_key(kk, ss)]]
+        areas = polygon_area(verts)
         if (areas > 0.0).all():
             return (verts, areas), kk, ss
-    raise _inverted_cell(areas)
+    raise DegenerateElement(
+        f"smoothing cell has area {float(areas[areas <= 0.0][0])}")
 
 
 def mesh_to_text(mesh):
@@ -402,6 +380,9 @@ def mesh_from_text(text):
         raise ValueError(f"line {lineno}: {err}") from err
     try:
         return Mesh(coords, conn, boundary)
+    except InvalidElement as err:  # element rows follow the node rows
+        raise ValueError(f"line {rows[1 + n + err.element_index][0]}: "
+                         f"{err}") from err
     except _BadRow as err:  # node rows follow the header, edge rows come last
         first = 1 if err.kind == "node" else 1 + n + e
         raise ValueError(f"line {rows[first + err.index][0]}: {err}") from err

@@ -131,15 +131,19 @@ def _wedges(basis, p):
     return basis.kappas * lvals[..., _J_SIDES] * lvals[..., _K_SIDES]
 
 
+def _wedge_sum(w):
+    """sum(w) over the last axis; raises AdjointZero where it vanishes."""
+    total = w.sum(axis=-1)
+    scale = np.abs(w).max(axis=-1)
+    if (np.abs(total) <= 1e-12 * np.maximum(scale, 1e-300)).any():
+        raise AdjointZero("wedge sum vanishes at the evaluation point")
+    return total
+
+
 def eval_wachspress(basis, p):
     """Shape values N_i = w_i / sum(w) at p ((2,) -> (4,), (n,2) -> (n,4))."""
     w = _wedges(basis, p)
-    total = w.sum(axis=-1)
-    scale = np.abs(w).max(axis=-1)
-    bad = np.abs(total) <= 1e-12 * np.maximum(scale, 1e-300)
-    if bad.any():
-        raise AdjointZero("wedge sum vanishes at the evaluation point")
-    return w / total[..., None]
+    return w / _wedge_sum(w)[..., None]
 
 
 def eval_wachspress_gradient(basis, p):
@@ -154,10 +158,7 @@ def eval_wachspress_gradient(basis, p):
     gw = basis.kappas[..., :, None] * (
         normals[j] * lvals[..., k, None] + normals[k] * lvals[..., j, None]
     )
-    total = w.sum(axis=-1)
-    scale = np.abs(w).max(axis=-1)
-    if np.any(np.abs(total) <= 1e-12 * np.maximum(scale, 1e-300)):
-        raise AdjointZero("wedge sum vanishes at the evaluation point")
+    total = _wedge_sum(w)
     gtotal = gw.sum(axis=-2)
     return (gw * total[..., None, None] - w[..., None] * gtotal[..., None, :]) \
         / total[..., None, None] ** 2
@@ -222,49 +223,33 @@ SITE_VALUES = np.array(
 )
 
 
-class AveragedSkeleton:
-    """Piecewise-linear site interpolation along the smoothing-cell
-    boundaries of one element."""
-
-    def __init__(self, quad, k, split="12-34"):
-        quad = np.asarray(quad, dtype=float)
-        self.sites = table_sites(quad)
-        self.diameter = quad_diameter(quad)
-        a, b = np.array(SKELETON_SEGMENTS[subdivision_key(k, split)]).T
-        self.p0, self.p1 = self.sites[a], self.sites[b]
-        self.v0, self.v1 = SITE_VALUES[a], SITE_VALUES[b]
-        d = self.p1 - self.p0
-        self._d = d
-        self._len2 = (d ** 2).sum(axis=1)
-
-    def __call__(self, p):
-        """Shape values at p: (2,) -> (4,), (n, 2) -> (n, 4). Each point
-        takes the values of its nearest skeleton segment."""
-        p = np.asarray(p, dtype=float)
-        if p.ndim == 1:
-            return self(p[None])[0]
-        rel = p[:, None, :] - self.p0                         # (n, s, 2)
-        t = np.clip((rel * self._d).sum(axis=2) / self._len2, 0.0, 1.0)
-        foot = self.p0 + t[..., None] * self._d
-        dist2 = ((p[:, None, :] - foot) ** 2).sum(axis=2)
-        best = np.argmin(dist2, axis=1)
-        rows = np.arange(len(p))
-        off = np.sqrt(dist2[rows, best]) > 1e-10 * self.diameter
-        if off.any():
-            raise OffSkeleton(f"point {tuple(p[np.argmax(off)])} is not on "
-                              "a smoothing-cell boundary segment")
-        tb = t[rows, best][:, None]
-        return (1.0 - tb) * self.v0[best] + tb * self.v1[best]
-
-
 def eval_averaged(quad, k, p, split="12-34"):
-    """Averaged shape values at a point on the k-subdivision skeleton.
+    """Averaged shape values at points on the k-subdivision skeleton,
+    (2,) -> (4,) or (n, 2) -> (n, 4).
 
-    Exactly the table rows at the nine sites; linear interpolation of the
+    Each point takes the values of its nearest skeleton segment: exactly
+    the table rows at the nine sites, linear interpolation of the
     bracketing site values elsewhere on a segment. Raises OffSkeleton for
     points farther than 1e-10 * diameter from every segment.
     """
-    return AveragedSkeleton(quad, k, split)(p)
+    a, b = np.array(SKELETON_SEGMENTS[subdivision_key(k, split)]).T
+    sites = table_sites(quad)
+    p0 = sites[a]
+    d = sites[b] - p0
+    pts = np.asarray(p, dtype=float).reshape(-1, 2)
+    rel = pts[:, None, :] - p0                            # (n, s, 2)
+    t = np.clip((rel * d).sum(axis=2) / (d ** 2).sum(axis=1), 0.0, 1.0)
+    foot = p0 + t[..., None] * d
+    dist2 = ((pts[:, None, :] - foot) ** 2).sum(axis=2)
+    best = np.argmin(dist2, axis=1)
+    rows = np.arange(len(pts))
+    off = np.sqrt(dist2[rows, best]) > 1e-10 * quad_diameter(quad)
+    if off.any():
+        raise OffSkeleton(f"point {tuple(pts[np.argmax(off)])} is not on "
+                          "a smoothing-cell boundary segment")
+    tb = t[rows, best][:, None]
+    values = (1.0 - tb) * SITE_VALUES[a[best]] + tb * SITE_VALUES[b[best]]
+    return values.reshape(np.shape(p)[:-1] + (4,))
 
 
 def shape_evaluator(scheme, quad, k=4, split="12-34"):
@@ -277,7 +262,9 @@ def shape_evaluator(scheme, quad, k=4, split="12-34"):
         basis = build_wachspress(quad)
         return lambda p: eval_wachspress(basis, p)
     if scheme == "averaged":
-        return AveragedSkeleton(quad, k, split)
+        quad = np.array(quad, dtype=float)  # a copy: the closure keeps it
+        subdivision_key(k, split)  # raises now, not at the first call
+        return lambda p: eval_averaged(quad, k, p, split)
     if scheme == "lagrange":
         basis = build_lagrange(quad)
         return lambda p: eval_lagrange(basis, p)

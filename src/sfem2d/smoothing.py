@@ -126,14 +126,6 @@ def element_cells(quad, k_cells, scheme, n_points=None, split="12-34"):
     return verts, areas, boundary_flux(verts, evaluator, n_points)
 
 
-def element_b_matrices(quad, k_cells, scheme, n_points=None, split="12-34"):
-    """element_cells with each cell's flux turned into its smoothed 3x8 B
-    matrix, as ((vertices (k, 4, 2), areas (k,)), [B])."""
-    verts, areas, fluxes = element_cells(quad, k_cells, scheme, n_points,
-                                         split)
-    return (verts, areas), [smoothed_b(a, f) for a, f in zip(areas, fluxes)]
-
-
 @dataclass(frozen=True, eq=False)
 class ElementStiffness:
     k: np.ndarray                # (8, 8)

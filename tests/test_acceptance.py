@@ -15,7 +15,7 @@ from sfem2d.benchmarks import (
     run_patch_test,
 )
 from sfem2d.errors import NonExistent
-from sfem2d.mesh import subdivide
+from sfem2d.mesh import subdivide_adaptive
 from sfem2d.shapefn import (
     SITE_VALUES,
     build_lagrange,
@@ -261,7 +261,9 @@ def test_criterion_8_property_suites():
     for _ in range(N_QUADS):
         quad = random_convex_quad(rng)
         for k in (1, 2, 4):
-            for v in subdivide(quad, k)[0]:
+            (cells, _), k_used, _ = subdivide_adaptive(quad, k)
+            assert k_used == k
+            for v in cells:
                 perim = sum(
                     np.hypot(*(v[(s + 1) % len(v)] - v[s]))
                     for s in range(len(v))

@@ -22,7 +22,7 @@ from sfem2d.benchmarks import (
     solve_beam,
 )
 from sfem2d.errors import InvalidElement
-from sfem2d.mesh import subdivide
+from sfem2d.mesh import subdivide_adaptive
 from sfem2d.smoothing import GAUSS_1D, element_stiffness
 from sfem2d.solver import cell_strains
 
@@ -182,8 +182,10 @@ class TestEnergyNorm:
         assert len(verts) == len(areas) == 4 * mesh.num_elements
         assert strains.shape == (4 * mesh.num_elements, 3)
         # the cells come element by element, element 0 first
-        np.testing.assert_array_equal(
-            verts[:4], subdivide(mesh.coords[mesh.conn[0]], 4)[0])
+        (first, _), k_used, _ = subdivide_adaptive(
+            mesh.coords[mesh.conn[0]], 4)
+        assert k_used == 4
+        np.testing.assert_array_equal(verts[:4], first)
 
 
 class TestConcaveFallback:

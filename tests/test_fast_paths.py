@@ -1,10 +1,11 @@
 """Randomized checks of the array fast paths against the scalar loops they
 replaced: the blocked error quadrature, the roll-free polygon helpers,
-the whole-mesh element checks of distort_mesh, the array Wachspress
-construction, the batched skeleton search, the site, cell and flux
-formulas of the per-cell smoothing step, the stacked cell-boundary
-flux of each element, the retry-free concave fallback, the array
-strain recovery and its reuse of the cells and fluxes of assemble."""
+the stacked shoelace, the whole-mesh element checks of distort_mesh,
+the array Wachspress construction, the batched skeleton search, the
+site, cell and flux formulas of the per-cell smoothing step, the stacked
+cell-boundary flux of each element, the retry-free concave fallback, the
+array strain recovery and its reuse of the cells and fluxes of
+assemble."""
 
 import gc
 import re
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sfem2d import benchmarks, smoothing, solver
+from sfem2d import mesh as mesh_module
 from sfem2d.benchmarks import (
     TimoshenkoBeam,
     beam_mesh,
@@ -41,16 +43,15 @@ from sfem2d.mesh import (
     generate_structured_mesh,
     polygon_area,
     polygon_centroid,
-    subdivide,
     subdivide_adaptive,
     subdivision_key,
     table_sites,
 )
 from sfem2d.shapefn import (
     SITE_VALUES,
-    AveragedSkeleton,
     WachspressBasis,
     build_wachspress,
+    eval_averaged,
     eval_wachspress,
     quad_diameter,
     shape_evaluator,
@@ -61,7 +62,7 @@ from sfem2d.smoothing import (
     boundary_flux,
     default_quadrature,
     elasticity_matrix,
-    element_b_matrices,
+    element_cells,
     smoothed_b,
 )
 from sfem2d.solver import assemble, cell_strains, element_dofs
@@ -102,11 +103,11 @@ def fan_error_loop(mesh, u, beam, scheme, k_cells, split):
     edofs = element_dofs(mesh)
     total = 0.0
     for e, quad in enumerate(mesh.coords[mesh.conn]):
-        (cells, _), bmats = element_b_matrices(quad, k_cells, scheme, None,
-                                               split)
+        cells, areas, fluxes = element_cells(quad, k_cells, scheme, None,
+                                             split)
         ue = u[edofs[e]]
-        for verts, b in zip(cells, bmats):
-            eh = b @ ue
+        for verts, area, flux in zip(cells, areas, fluxes):
+            eh = smoothed_b(area, flux) @ ue
             centroid = polygon_centroid(verts)
             m = len(verts)
             for s in range(m):
@@ -409,6 +410,79 @@ def assert_same_basis(fast, slow):
     assert fast.diameter == slow.diameter
 
 
+def quad_flags_by_sum(quads):
+    """Signed area, self-crossing flag and convexity flag of each quad of
+    an (E, 4, 2) array, the area summed by .sum() (the form check_quads
+    used before polygon_area took stacks)."""
+    nxt = np.array([1, 2, 3, 0])
+    x, y = quads[..., 0], quads[..., 1]
+    area = 0.5 * ((x * y[:, nxt]).sum(axis=1) - (x[:, nxt] * y).sum(axis=1))
+    p1, p2, p3, p4 = quads.transpose(1, 0, 2)
+    crossed = (mesh_module._segments_properly_intersect(p1, p2, p3, p4)
+               | mesh_module._segments_properly_intersect(p2, p3, p4, p1))
+    edges = quads[:, nxt] - quads
+    turn = edges[..., 0] * edges[:, nxt, 1] - edges[..., 1] * edges[:, nxt, 0]
+    return area, crossed, (turn > 0).all(axis=1) | (turn < 0).all(axis=1)
+
+
+def check_quads_by_sum(quads):
+    area, crossed, convex = quad_flags_by_sum(quads)
+    bad = np.flatnonzero((area <= 0.0) | crossed)
+    if bad.size:
+        e = int(bad[0])
+        raise InvalidElement(e, "inverted quad (signed area <= 0)"
+                             if area[e] <= 0.0 else "self-intersecting quad")
+    return convex
+
+
+def shifted_and_scaled(stack, shift, scale):
+    return stack * scale + shift
+
+
+SHIFTS = arrays(np.float64, 2, elements=st.floats(-1e3, 1e3))
+SCALES = st.sampled_from([1.0, 2.0 ** -20, 1e-3, 0.7, 3.0, 1e4])
+STACKS = st.one_of(
+    st.tuples(st.integers(0, 6), st.integers(3, 8)).flatmap(
+        lambda em: arrays(np.float64, em + (2,), elements=COORD)),
+    st.lists(QUADS, min_size=1, max_size=6).map(np.array))
+QUAD_STACKS = st.one_of(
+    st.integers(0, 6).flatmap(
+        lambda e: arrays(np.float64, (e, 4, 2), elements=COORD)),
+    st.lists(st.one_of(QUADS, GRID_QUADS), min_size=1, max_size=6)
+    .map(np.array))
+
+
+class TestStackedShoelace:
+    @settings(max_examples=200, deadline=None)
+    @given(stack=st.builds(shifted_and_scaled, STACKS, SHIFTS, SCALES))
+    def test_stacked_area_bit_equal_to_one_polygon(self, stack):
+        areas = polygon_area(stack)
+        assert areas.shape == stack.shape[:1]
+        assert areas.tolist() == [polygon_area(p) for p in stack]
+        assert areas.tolist() == [roll_area(p) for p in stack]
+        np.testing.assert_array_equal(polygon_area(stack[None]), areas[None])
+
+    @settings(max_examples=200, deadline=None)
+    @given(quads=st.builds(shifted_and_scaled, QUAD_STACKS, SHIFTS, SCALES))
+    def test_check_quads_flags_equal_to_summed_area(self, quads):
+        area = quad_flags_by_sum(quads)[0]
+        # The two shoelaces differ in the last bit, so only the sign of an
+        # area within their rounding error may differ.
+        x, y = quads[..., 0], quads[..., 1]
+        nxt = np.array([1, 2, 3, 0])
+        rounding = 16.0 * np.finfo(float).eps * (
+            np.abs(x * y[:, nxt]) + np.abs(x[:, nxt] * y)).sum(axis=1)
+        agree = (polygon_area(quads) > 0.0) == (area > 0.0)
+        assert agree[np.abs(2.0 * area) > rounding].all()
+        if agree.all():
+            fast = outcome(check_quads, quads)
+            slow = outcome(check_quads_by_sum, quads)
+            if isinstance(slow, tuple):
+                assert fast == slow
+            else:
+                np.testing.assert_array_equal(fast, slow)
+
+
 class TestArrayWachspress:
     @settings(max_examples=300, deadline=None)
     @given(quad=QUADS, pseed=SEEDS)
@@ -461,10 +535,13 @@ class TestBatchedSkeleton:
         p0, p1 = sites[pairs[seg, 0]], sites[pairs[seg, 1]]
         pts = p0 + t * (p1 - p0)
         slow = np.array([skeleton_point(quad, k, split, p) for p in pts])
-        skeleton = AveragedSkeleton(quad, k, split)
-        np.testing.assert_array_equal(skeleton(pts), slow)
-        np.testing.assert_array_equal(skeleton(pts[0]), slow[0])
-        assert skeleton(np.empty((0, 2))).shape == (0, 4)
+        np.testing.assert_array_equal(eval_averaged(quad, k, pts, split),
+                                      slow)
+        np.testing.assert_array_equal(eval_averaged(quad, k, pts[0], split),
+                                      slow[0])
+        assert eval_averaged(quad, k, np.empty((0, 2)), split).shape == (0, 4)
+        evaluator = shape_evaluator("averaged", quad, k, split)
+        np.testing.assert_array_equal(evaluator(pts), slow)
 
     @settings(max_examples=100, deadline=None)
     @given(quad=QUADS, sub=SUBDIVISIONS, at=st.integers(0, 5))
@@ -473,7 +550,7 @@ class TestBatchedSkeleton:
         pts = np.repeat(table_sites(quad)[[0, 4]], 3, axis=0)
         pts[at] = quad.max(axis=0) + quad_diameter(quad)   # outside
         with pytest.raises(OffSkeleton) as exc:
-            AveragedSkeleton(quad, k, split)(pts)
+            eval_averaged(quad, k, pts, split)
         assert str(exc.value) == outcome(skeleton_point, quad, k, split,
                                          pts[at])[1]
 
@@ -493,11 +570,13 @@ class TestCellFormulas:
                 expected = (DegenerateElement, f"smoothing cell has area {area}")
                 break
             expected.append((verts, area))
-        cells = outcome(subdivide, quad, k, split)
+        cells = outcome(subdivide_adaptive, quad, k, split)
         if isinstance(expected, tuple):
-            assert cells == expected
+            # an inverted cell: the same error for k=1, else a fallback
+            assert cells == expected if k == 1 else cells[1:] != (k, split)
             return
-        verts, areas = cells
+        (verts, areas), k_used, split_used = cells
+        assert (k_used, split_used) == (k, split)
         np.testing.assert_array_equal(verts, [v for v, _ in expected])
         assert areas.tolist() == [a for _, a in expected]
 
@@ -507,12 +586,13 @@ class TestCellFormulas:
     def test_boundary_flux_bit_equal(self, quad, scheme, sub, n_points,
                                      vseed):
         k, split = sub
-        evaluator = outcome(shape_evaluator, scheme, quad, k, split)
-        cells = outcome(subdivide, quad, k, split)
+        cells = outcome(subdivide_adaptive, quad, k, split)
         # an error outcome is (type, message)
-        assume(not isinstance(evaluator, tuple)
-               and not isinstance(cells[0], type))
-        polygons = list(cells[0])
+        assume(not isinstance(cells[0], type))
+        (verts, _), k_used, split_used = cells
+        evaluator = outcome(shape_evaluator, scheme, quad, k_used, split_used)
+        assume(not isinstance(evaluator, tuple))
+        polygons = list(verts)
         if scheme != "averaged":
             # a basis defined everywhere takes any polygon, 3 to 5 sides
             polygons.append(quad[0] + np.random.default_rng(vseed).random(
@@ -539,22 +619,24 @@ def cells_per_cell(quad, k_cells, scheme, n_points=None, split="12-34"):
 
 
 def b_matrices_per_cell(quad, k_cells, scheme, n_points=None, split="12-34"):
-    """element_b_matrices from the per-cell fluxes of cells_per_cell."""
+    """The cells of one element and the smoothed B of each, from the
+    per-cell fluxes of cells_per_cell."""
     verts, areas, fluxes = cells_per_cell(quad, k_cells, scheme, n_points,
                                           split)
     return (verts, areas), [smoothed_b(a, f) for a, f in zip(areas, fluxes)]
 
 
 def strains_by_element(mesh, u, scheme, k_cells):
-    """cell_strains as lists grown element by element from the B matrices
-    of element_b_matrices (its form before it filled arrays)."""
+    """cell_strains as lists grown element by element from the smoothed
+    B of each cell of element_cells (its form before it filled arrays)."""
     edofs = element_dofs(mesh)
     verts, areas, strains = [], [], []
     for e, quad in enumerate(mesh.coords[mesh.conn]):
-        (cv, ca), bmats = element_b_matrices(quad, k_cells, scheme)
+        cv, ca, cf = element_cells(quad, k_cells, scheme)
         verts.extend(cv)
         areas.extend(ca)
-        strains.extend(b @ u[edofs[e]] for b in bmats)
+        strains.extend(smoothed_b(a, f) @ u[edofs[e]]
+                       for a, f in zip(ca, cf))
     return np.array(verts), np.array(areas), np.array(strains)
 
 
@@ -614,17 +696,18 @@ class TestStackedFlux:
     @given(quad=QUADS, scheme=SCHEMES, k=st.sampled_from([1, 2, 4]),
            split=SPLITS, n_points=st.integers(1, 4))
     @example(quad=DART, scheme="wachspress", k=4, split="12-34", n_points=2)
-    def test_element_b_matrices_bit_equal_to_per_cell_calls(
+    def test_cell_b_matrices_bit_equal_to_per_cell_calls(
             self, quad, scheme, k, split, n_points):
         try:
             (verts, areas), bmats = b_matrices_per_cell(quad, k, scheme,
                                                         n_points, split)
         except SfemError as err:
             with pytest.raises(type(err), match=re.escape(str(err))):
-                element_b_matrices(quad, k, scheme, n_points, split)
+                element_cells(quad, k, scheme, n_points, split)
             return
-        (fast_verts, fast_areas), fast_bmats = element_b_matrices(
-            quad, k, scheme, n_points, split)
+        fast_verts, fast_areas, fluxes = element_cells(quad, k, scheme,
+                                                       n_points, split)
+        fast_bmats = [smoothed_b(a, f) for a, f in zip(fast_areas, fluxes)]
         assert len(fast_verts) == len(verts) == len(fast_bmats)
         np.testing.assert_array_equal(fast_verts, verts)
         np.testing.assert_array_equal(fast_areas, areas)

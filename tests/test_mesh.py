@@ -24,7 +24,6 @@ from sfem2d.mesh import (
     mesh_to_text,
     polygon_area,
     polygon_centroid,
-    subdivide,
     subdivide_adaptive,
 )
 
@@ -125,62 +124,69 @@ class TestDistortion:
 
 class TestSubdivide:
     def test_unit_square_four_cells(self):
-        verts, areas = subdivide(UNIT_SQUARE, 4)
+        (verts, areas), k_used, _ = subdivide_adaptive(UNIT_SQUARE, 4)
+        assert k_used == 4
         assert len(verts) == len(areas) == 4
         for v, area in zip(verts, areas):
             assert area == pytest.approx(0.25, abs=1e-15)
             assert any(np.all(p == [0.5, 0.5]) for p in v)
 
     def test_unit_square_two_cells(self):
-        verts, areas = subdivide(UNIT_SQUARE, 2)
+        (verts, areas), k_used, split = subdivide_adaptive(UNIT_SQUARE, 2)
+        assert (k_used, split) == (2, "12-34")
         assert list(areas) == pytest.approx([0.5, 0.5])
         # default split joins midpoints of sides 1-2 and 3-4 (vertical)
         assert np.allclose(verts[0, 1], [0.5, 0.0])
-        other, _ = subdivide(UNIT_SQUARE, 2, split="23-41")
+        (other, _), k_used, split = subdivide_adaptive(UNIT_SQUARE, 2,
+                                                       split="23-41")
+        assert (k_used, split) == (2, "23-41")
         assert np.allclose(other[0, 2], [1.0, 0.5])
 
     def test_parallelogram_cells(self):
         # Midpoints by hand: (0.5,0), (1.25,0.5), (1,1), (0.25,0.5); the
         # bimedians cross at their common midpoint (0.75, 0.5).
-        verts, areas = subdivide(PARALLELOGRAM, 4)
+        (verts, areas), k_used, _ = subdivide_adaptive(PARALLELOGRAM, 4)
+        assert k_used == 4
         assert list(areas) == pytest.approx([0.25] * 4, rel=1e-14)
         for v in verts:
             assert any(np.allclose(p, [0.75, 0.5]) for p in v)
         assert sum(areas) == pytest.approx(1.0, rel=1e-14)
 
     def test_k1_is_element(self):
-        (verts,), (area,) = subdivide(PARALLELOGRAM, 1)
+        ((verts,), (area,)), k_used, _ = subdivide_adaptive(PARALLELOGRAM, 1)
+        assert k_used == 1
         assert np.array_equal(verts, PARALLELOGRAM)
+        assert area == polygon_area(PARALLELOGRAM)
 
     def test_tiling_property(self, rng):
         for _ in range(50):
             quad = random_simple_quad(rng)
             area = polygon_area(quad)
             for k in (1, 2, 4):
-                try:
-                    _, areas = subdivide(quad, k)
-                except DegenerateElement:
-                    continue  # strongly concave; covered by adaptive tests
-                assert sum(areas) == pytest.approx(
-                    area, rel=1e-12
-                )
+                # the cells of a fallback tile the element too
+                (_, areas), _, _ = subdivide_adaptive(quad, k)
+                assert sum(areas) == pytest.approx(area, rel=1e-12)
 
     def test_unsupported_k(self):
         with pytest.raises(UnsupportedSubdivision):
-            subdivide(UNIT_SQUARE, 3)
+            subdivide_adaptive(UNIT_SQUARE, 3)
 
     def test_adaptive_fallback_on_strong_concavity(self):
         # reflex corner triangle larger than half the element area makes a
         # four-cell bimedian subdivision invert
         dart = np.array([[0.0, 0.0], [2.0, 0.0], [0.25, 0.25], [0.0, 2.0]])
         assert polygon_area(dart) > 0
-        with pytest.raises(DegenerateElement):
-            subdivide(dart, 4)
         (_, areas), k_used, _ = subdivide_adaptive(dart, 4)
         assert k_used in (1, 2)
         assert sum(areas) == pytest.approx(
             polygon_area(dart), rel=1e-12
         )
+
+    def test_inverted_single_cell_raises(self):
+        # a clockwise quad has no valid cells; the last attempt is k=1
+        with pytest.raises(DegenerateElement,
+                           match=r"^smoothing cell has area -1\.0$"):
+            subdivide_adaptive(UNIT_SQUARE[::-1], 4)
 
     def test_adaptive_fallback_leaves_no_reference_cycle(self):
         # A kept exception's traceback would pin the callers' frames (and
@@ -287,6 +293,12 @@ class TestMeshValidation:
         with pytest.raises(InvalidElement):
             Mesh(coords, [(0, 1, 2, 9)], [])
 
+    def test_boundary_edges_cannot_grow(self):
+        m = generate_structured_mesh(2, 1, 2.0, 1.0)
+        with pytest.raises(AttributeError):
+            m.boundary_edges.append(BoundaryEdge(0, 1, "left"))
+        assert m.boundary_node_ids("left") == [0, 3]
+
     def test_duplicate_boundary_edge(self):
         m = generate_structured_mesh(1, 1, 1, 1)
         with pytest.raises(ValueError):
@@ -304,8 +316,13 @@ class TestMeshValidation:
          "line 16: .*shared by two elements"),
         (TWO_BY_ONE + "edge 0 0 bottom\n",
          r"line 16: duplicate boundary edge \(0, 0\)"),
+        (ONE_QUAD.replace("0 0 1 2 3", "0 0 1 2 2").format("1 1 0", ""),
+         "^line 6: element 0: repeated node id$"),
+        (ONE_QUAD.replace("0 0 1 2 3", "0 0 1 2 9").format("1 1 0", ""),
+         "^line 6: element 0: node id out of range$"),
     ], ids=["element-past-end", "negative-element", "local-edge", "nan",
-            "interior-edge", "duplicate-edge"])
+            "interior-edge", "duplicate-edge", "repeated-node",
+            "node-out-of-range"])
     def test_bad_edge_or_coordinate(self, text, message):
         with pytest.raises(ValueError, match=message):
             mesh_from_text(text)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sfem2d.errors import DegenerateElement
-from sfem2d.mesh import subdivide
+from sfem2d.mesh import subdivide_adaptive
 from sfem2d.shapefn import shape_evaluator
 from sfem2d.smoothing import (
     MaterialModel,
@@ -82,14 +82,17 @@ class TestSmoothedB:
         quad = random_convex_quad(rng)
         ev = shape_evaluator(scheme, quad, k)
         u = np.tile([0.7, -0.3], 4)
-        for verts, area in zip(*subdivide(quad, k)):
+        cells, k_used, _ = subdivide_adaptive(quad, k)
+        assert k_used == k
+        for verts, area in zip(*cells):
             bm = smoothed_b(area, boundary_flux(verts, ev,
                                                 default_quadrature(scheme)))
             assert np.abs(bm @ u).max() < 1e-12
 
     def test_linear_field_unit_square(self):
         ev = shape_evaluator("wachspress", UNIT_SQUARE, 1)
-        (verts,), (area,) = subdivide(UNIT_SQUARE, 1)
+        ((verts,), (area,)), k_used, _ = subdivide_adaptive(UNIT_SQUARE, 1)
+        assert k_used == 1
         u = UNIT_SQUARE[:, 0]  # u = (x, 0)
         uvec = np.column_stack([u, np.zeros(4)]).ravel()
         bm = smoothed_b(area, boundary_flux(verts, ev))
@@ -105,7 +108,9 @@ class TestSmoothedB:
             u = (quad @ a.T + b).ravel()
             expected = [a[0, 0], a[1, 1], a[0, 1] + a[1, 0]]
             ev = shape_evaluator("wachspress", quad, 4)
-            for verts, area in zip(*subdivide(quad, 4)):
+            cells, k_used, _ = subdivide_adaptive(quad, 4)
+            assert k_used == 4
+            for verts, area in zip(*cells):
                 eps = smoothed_b(area, boundary_flux(verts, ev, 2)) @ u
                 assert eps == pytest.approx(expected, abs=1e-10)
 
@@ -114,7 +119,9 @@ class TestSmoothedB:
         # single-midpoint averaged rule and 2-point Gauss agree exactly
         ev_a = shape_evaluator("wachspress", UNIT_SQUARE, 4)
         ev_b = shape_evaluator("averaged", UNIT_SQUARE, 4)
-        for verts, area in zip(*subdivide(UNIT_SQUARE, 4)):
+        cells, k_used, _ = subdivide_adaptive(UNIT_SQUARE, 4)
+        assert k_used == 4
+        for verts, area in zip(*cells):
             ba = smoothed_b(area, boundary_flux(verts, ev_a, 2))
             bb = smoothed_b(area, boundary_flux(verts, ev_b, 1))
             assert np.abs(ba - bb).max() < 1e-12
@@ -125,10 +132,8 @@ class TestSmoothedB:
         for _ in range(30):
             quad = random_simple_quad(rng)
             for k in (1, 2, 4):
-                try:
-                    cells, _ = subdivide(quad, k)
-                except Exception:
-                    continue
+                # fallback cells of a concave quad are closed cells too
+                (cells, _), _, _ = subdivide_adaptive(quad, k)
                 for verts in cells:
                     flux = boundary_flux(verts, ones, 2)
                     perimeter = sum(
