@@ -58,33 +58,30 @@ class _BadRow(ValueError):
 
 class Mesh:
     """Node coordinates (N, 2), CCW quad connectivity (E, 4), boundary
-    edges. Both arrays are read-only copies of the input, and the
-    boundary edges a tuple."""
+    edges: read-only copies of the input arrays and a tuple, none of
+    which can be rebound or deleted, so a Mesh stays as validated."""
 
     def __init__(self, coords, conn, boundary_edges):
-        self.coords = np.array(coords, dtype=float).reshape(-1, 2)
-        self.conn = np.array(conn, dtype=int).reshape(-1, 4)
-        self.coords.flags.writeable = False
-        self.conn.flags.writeable = False
-        self.boundary_edges = tuple(boundary_edges)
-        self._validate()
-
-    def _validate(self):
-        n, ne = self.num_nodes, self.num_elements
-        finite = np.isfinite(self.coords).all(axis=1)
+        coords = np.array(coords, dtype=float).reshape(-1, 2)
+        conn = np.array(conn, dtype=int).reshape(-1, 4)
+        coords.flags.writeable = conn.flags.writeable = False
+        vars(self).update(coords=coords, conn=conn,
+                          boundary_edges=tuple(boundary_edges))
+        n, ne = len(coords), len(conn)
+        finite = np.isfinite(coords).all(axis=1)
         if not finite.all():
             raise _BadRow("node", int(np.argmin(finite)),
                           "node coordinates must be finite")
-        srt = np.sort(self.conn, axis=1)
+        srt = np.sort(conn, axis=1)
         repeated = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
-        out_of_range = ((self.conn < 0) | (self.conn >= n)).any(axis=1)
+        out_of_range = ((conn < 0) | (conn >= n)).any(axis=1)
         bad = np.flatnonzero(repeated | out_of_range)
         if bad.size:
             e = int(bad[0])
             raise InvalidElement(e, "repeated node id" if repeated[e]
                                  else "node id out of range")
         # owners[e, l]: how many element edges join the nodes of edge l of e
-        pairs = np.sort(self.conn[:, EDGE_CORNERS], axis=2).reshape(-1, 2)
+        pairs = np.sort(conn[:, EDGE_CORNERS], axis=2).reshape(-1, 2)
         _, inverse, counts = np.unique(pairs[:, 0] * n + pairs[:, 1],
                                        return_inverse=True, return_counts=True)
         owners = counts[inverse].reshape(-1, 4)
@@ -99,6 +96,11 @@ class Mesh:
                 raise _BadRow("edge", i, f"boundary edge {key} is shared "
                               "by two elements")
             seen.add(key)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"a Mesh cannot change; {name!r} is fixed")
+
+    __delattr__ = __setattr__
 
     @property
     def num_nodes(self):
@@ -170,22 +172,46 @@ def _segments_properly_intersect(p1, p2, p3, p4):
             & (d2 != 0) & (d3 != 0) & (d4 != 0))
 
 
-def check_quads(quads, inverted="inverted quad (signed area <= 0)",
-                crossing="self-intersecting quad"):
+def quad_sides(quads):
+    """Side vectors, their lengths and zero-length flags of (..., 4, 2)."""
+    d = quads[..., vertex_successors(4), :] - quads
+    length = np.hypot(d[..., 0], d[..., 1])
+    return d, length, ~(length > 0.0)
+
+
+def check_sides(quad):
+    """quad_sides of one quad less the flags; a zero side raises."""
+    d, length, zero = quad_sides(quad)
+    if zero.any():
+        i = int(np.argmax(zero))
+        raise DegenerateElement(
+            f"line through {quad[i]} and {quad[(i + 1) % 4]} is undefined")
+    return d, length
+
+
+def check_quads(quads):
     """Convexity flag (consecutive edge cross products of one sign) of
-    each quad of an (E, 4, 2) array; raises InvalidElement with the
-    matching reason for the first quad that is inverted or crosses
-    itself (a proper crossing of either pair of opposite sides)."""
+    each quad of an (E, 4, 2) array; raises InvalidElement for the first
+    quad that is inverted, crosses itself (a proper crossing of either
+    pair of opposite sides), has two coincident corners, or has an area
+    within the shoelace rounding bound 16 eps sum |x_i y_j| of zero."""
     area = polygon_area(quads)
     p1, p2, p3, p4 = quads.transpose(1, 0, 2)
     crossed = (_segments_properly_intersect(p1, p2, p3, p4)
                | _segments_properly_intersect(p2, p3, p4, p1))
-    bad = np.flatnonzero((area <= 0.0) | crossed)
+    edges, _, zero_side = quad_sides(quads)
+    nxt = vertex_successors(4)
+    x, y = quads[..., 0], quads[..., 1]
+    rounding = 16.0 * np.finfo(float).eps * (
+        np.abs(x * y[:, nxt]) + np.abs(x[:, nxt] * y)).sum(axis=1)
+    flags = {"inverted quad (signed area <= 0)": area <= 0.0,
+             "self-intersecting quad": crossed,
+             "two corners coincide": zero_side.any(axis=1),
+             "area within round-off of zero": 2.0 * area <= rounding}
+    bad = np.flatnonzero(np.logical_or.reduce(list(flags.values())))
     if bad.size:
         e = int(bad[0])
-        raise InvalidElement(e, inverted if area[e] <= 0.0 else crossing)
-    nxt = vertex_successors(4)
-    edges = quads[:, nxt] - quads
+        raise InvalidElement(e, next(r for r, f in flags.items() if f[e]))
     turn = edges[..., 0] * edges[:, nxt, 1] - edges[..., 1] * edges[:, nxt, 0]
     return (turn > 0).all(axis=1) | (turn < 0).all(axis=1)
 
@@ -226,8 +252,8 @@ def distort_mesh(mesh, spec, dx, dy):
     independent uniform draws r per node per axis.
 
     Draw order is node-major, x before y, so a fixed seed reproduces the
-    mesh bit for bit. Boundary nodes never move. Elements that come out
-    self-intersecting or inverted raise InvalidElement; concave-but-simple
+    mesh bit for bit. Boundary nodes never move. An element that
+    check_quads rejects raises its InvalidElement; concave-but-simple
     elements are accepted (and left to the caller to inspect via
     concave_elements).
     """
@@ -237,9 +263,7 @@ def distort_mesh(mesh, spec, dx, dy):
     coords = mesh.coords.copy()
     coords[interior] += (2.0 * r - 1.0) * spec.alpha_ir * np.array([dx, dy])
     out = Mesh(coords, mesh.conn, mesh.boundary_edges)
-    convex = check_quads(coords[mesh.conn], "distortion inverted the element",
-                         "distortion produced a self-intersecting quad")
-    n_concave = int(np.count_nonzero(~convex))
+    n_concave = len(concave_elements(out))
     if n_concave:
         log.debug("distort_mesh: %d concave element(s) at alpha_ir=%g",
                   n_concave, spec.alpha_ir)
@@ -248,7 +272,7 @@ def distort_mesh(mesh, spec, dx, dy):
 
 def concave_elements(mesh):
     """Indices of simple but non-convex elements; raises InvalidElement
-    naming the first element that is inverted or crosses itself."""
+    naming the first element that check_quads rejects."""
     return np.flatnonzero(~check_quads(mesh.coords[mesh.conn])).tolist()
 
 

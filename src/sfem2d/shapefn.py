@@ -30,6 +30,7 @@ from .errors import (
 )
 from .mesh import (
     SKELETON_SEGMENTS,
+    check_sides,
     polygon_area,
     subdivision_key,
     table_sites,
@@ -91,12 +92,7 @@ def build_wachspress(quad):
     if polygon_area(quad) <= 0.0:
         raise DegenerateElement("quad must be CCW with positive area")
     nxt = vertex_successors(4)
-    d = quad[nxt] - quad
-    side_len = np.hypot(d[:, 0], d[:, 1])
-    if not (side_len > 0.0).all():
-        i = int(np.argmin(side_len > 0.0))
-        raise DegenerateElement(
-            f"line through {quad[i]} and {quad[nxt[i]]} is undefined")
+    d, side_len = check_sides(quad)
     diam = quad_diameter(quad)
     # lines[0, i], lines[1, i]: node i's two opposite-side lines at node i
     rel = quad - quad[_OPPOSITE_SIDES]
@@ -264,6 +260,7 @@ def shape_evaluator(scheme, quad, k=4, split="12-34"):
     if scheme == "averaged":
         quad = np.array(quad, dtype=float)  # a copy: the closure keeps it
         subdivision_key(k, split)  # raises now, not at the first call
+        check_sides(quad)  # a zero side would give a zero skeleton segment
         return lambda p: eval_averaged(quad, k, p, split)
     if scheme == "lagrange":
         basis = build_lagrange(quad)

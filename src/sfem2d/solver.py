@@ -27,15 +27,14 @@ from .shapefn import shape_evaluator
 from .smoothing import (
     GAUSS_1D,
     check_quadrature,
-    default_quadrature,
     element_cells,
     element_stiffness,
     smoothed_b,
 )
 
 # The smoothing cells of each mesh's last assemble, kept for its error
-# pass: mesh -> (cells key, coords, conn, stacked cells). Mesh arrays are
-# read-only, so an entry holds while the mesh keeps the same two arrays.
+# pass: mesh -> ((scheme, k_cells, n_points, split) as passed, stacked
+# cells). A Mesh cannot change, so an entry holds while its mesh lives.
 _ASSEMBLED_CELLS = weakref.WeakKeyDictionary()
 
 
@@ -62,19 +61,16 @@ class Solution:
     reactions: np.ndarray
 
 
-def _cells_key(scheme, k_cells, n_points, split):
-    """The key of a smoothing pass, with n_points resolved."""
-    if n_points is None:
-        n_points = default_quadrature(scheme)
-    return scheme, k_cells, n_points, split
-
-
-def _of_element(e, fn, *args, **kwargs):
-    """fn(*args, **kwargs) for element e; a scheme error names e."""
-    try:
-        return fn(*args, **kwargs)
-    except SfemError as err:
-        raise type(err)(f"element {e}: {err}") from err
+def _each_element(mesh, fn, *args):
+    """fn(quad, *args) for each element in order, after check_quads has
+    passed the whole mesh; a scheme error names its element."""
+    quads = mesh.coords[mesh.conn]
+    check_quads(quads)
+    for e, quad in enumerate(quads):
+        try:
+            yield fn(quad, *args)
+        except SfemError as err:
+            raise type(err)(f"element {e}: {err}") from err
 
 
 def _stack_cells(n_elements, per_element):
@@ -86,12 +82,11 @@ def _stack_cells(n_elements, per_element):
     fluxes = np.empty_like(verts)
     counts = np.empty(n_elements, dtype=int)
     n = 0
-    for e, (cv, ca, cf) in enumerate(per_element):
-        counts[e] = len(ca)
-        verts[n:n + len(ca)] = cv
-        areas[n:n + len(ca)] = ca
-        fluxes[n:n + len(ca)] = cf
-        n += len(ca)
+    for e, element in enumerate(per_element):
+        counts[e] = m = len(element[1])
+        for stack, part in zip((verts, areas, fluxes), element):
+            stack[n:n + m] = part
+        n += m
     cells = verts[:n], areas[:n], fluxes[:n], counts
     for a in cells:
         a.flags.writeable = False
@@ -100,23 +95,19 @@ def _stack_cells(n_elements, per_element):
 
 def assemble(mesh, scheme, k_cells, material, n_points=None, split="12-34"):
     """Scatter element stiffness into a sparse symmetric global matrix;
-    raises InvalidElement for the first inverted or self-crossing element.
+    raises InvalidElement for the first element check_quads rejects.
     The smoothing cells and their fluxes are kept for cell_strains on the
     same mesh."""
-    quads = mesh.coords[mesh.conn]
-    check_quads(quads)
     vals = []
 
     def stiffness():
-        for e, quad in enumerate(quads):
-            ke = _of_element(e, element_stiffness, quad, k_cells, scheme,
-                             material, n_points=n_points, split=split)
+        for ke in _each_element(mesh, element_stiffness, k_cells, scheme,
+                                material, n_points, split):
             vals.append(ke.k.ravel())
             yield ke.cells, ke.areas, ke.fluxes
 
-    cells = _stack_cells(len(quads), stiffness())
-    _ASSEMBLED_CELLS[mesh] = (_cells_key(scheme, k_cells, n_points, split),
-                              mesh.coords, mesh.conn, cells)
+    cells = _stack_cells(mesh.num_elements, stiffness())
+    _ASSEMBLED_CELLS[mesh] = (scheme, k_cells, n_points, split), cells
     edofs = element_dofs(mesh)
     rows = np.repeat(edofs, 8, axis=1).ravel()  # ke row-major
     cols = np.tile(edofs, 8).ravel()
@@ -135,7 +126,7 @@ def apply_tractions(mesh, edge_tag, traction, n_points=2, scheme="wachspress",
     wachspress and averaged schemes restrict linearly to element edges, so
     the edge-node hat functions carry the load; the lagrange scheme is not
     edge-linear and gets its actual shape values, spread over all four
-    element nodes.
+    element nodes. ``k_cells`` has no effect (lagrange ignores it).
     """
     edges = [be for be in mesh.boundary_edges if be.tag == edge_tag]
     if not edges:
@@ -143,6 +134,7 @@ def apply_tractions(mesh, edge_tag, traction, n_points=2, scheme="wachspress",
     check_quadrature(n_points)
     load = np.zeros(2 * mesh.num_nodes)
     xi, wq = GAUSS_1D[n_points]
+    hats = np.column_stack([0.5 * (1.0 - xi), 0.5 * (1.0 + xi)])
     for be in edges:
         nodes = mesh.conn[be.element]
         quad = mesh.coords[nodes]
@@ -153,33 +145,20 @@ def apply_tractions(mesh, edge_tag, traction, n_points=2, scheme="wachspress",
         pts = 0.5 * (v0 + v1) + 0.5 * np.outer(xi, edge)
         tvals = np.array([traction(x, y) for x, y in pts])  # (n_points, 2)
         weights = 0.5 * length * wq
-        if scheme == "lagrange":
-            nvals = np.asarray(shape_evaluator(scheme, quad, k_cells)(pts))
-            for i, node in enumerate(nodes):
-                fi = (weights * nvals[:, i]) @ tvals
-                load[2 * node : 2 * node + 2] += fi
-        else:
-            shape_a = 0.5 * (1.0 - xi)
-            shape_b = 0.5 * (1.0 + xi)
-            fa = (weights * shape_a) @ tvals
-            fb = (weights * shape_b) @ tvals
-            na, nb = nodes[a], nodes[b]
-            load[2 * na : 2 * na + 2] += fa
-            load[2 * nb : 2 * nb + 2] += fb
+        shape, corners = ((shape_evaluator(scheme, quad)(pts), nodes)
+                          if scheme == "lagrange" else (hats, nodes[[a, b]]))
+        for i, node in enumerate(corners):
+            load[2 * node : 2 * node + 2] += (weights * shape[:, i]) @ tvals
     return load
 
 
 def apply_dirichlet(system, node_ids, displacement):
     """Prescribe both displacement components of the given nodes from
-    ``displacement(x, y) -> (ux, uy)``. Returns the system for chaining."""
+    ``displacement(x, y) -> (ux, uy)`` with fix_dof; returns the system."""
     for n in node_ids:
         ux, uy = displacement(*system.mesh.coords[n])
-        if not (np.isfinite(ux) and np.isfinite(uy)):
-            raise ValueError(f"prescribed displacement at node {n} not finite")
-        system.fixed[2 * n] = float(ux)
-        system.fixed[2 * n + 1] = float(uy)
-    if len(system.fixed) >= system.stiffness.shape[0]:
-        raise AllDofsFixed("every degree of freedom is prescribed")
+        fix_dof(system, 2 * n, ux)
+        fix_dof(system, 2 * n + 1, uy)
     return system
 
 
@@ -257,21 +236,15 @@ def cell_strains(mesh, u, scheme, k_cells, n_points=None, split="12-34"):
     read-only.
 
     After assemble on this mesh with the same scheme, k_cells, n_points
-    and split, the cells and fluxes of that pass are reused. Otherwise
-    they are built here, and the first inverted or self-crossing element
-    raises InvalidElement.
+    and split, as passed, the cells and fluxes of that pass are reused.
+    Otherwise they are built here, and the first element check_quads
+    rejects raises InvalidElement.
     """
-    key, coords, conn, cells = _ASSEMBLED_CELLS.get(mesh, (None,) * 4)
-    if (key == _cells_key(scheme, k_cells, n_points, split)
-            and coords is mesh.coords and conn is mesh.conn):
-        verts, areas, fluxes, counts = cells
-    else:
-        quads = mesh.coords[mesh.conn]
-        check_quads(quads)
-        verts, areas, fluxes, counts = _stack_cells(len(quads), (
-            _of_element(e, element_cells, quad, k_cells, scheme, n_points,
-                        split)
-            for e, quad in enumerate(quads)))
+    key, cells = _ASSEMBLED_CELLS.get(mesh, (None, None))
+    verts, areas, fluxes, counts = (
+        cells if key == (scheme, k_cells, n_points, split) else _stack_cells(
+            mesh.num_elements, _each_element(mesh, element_cells, k_cells,
+                                             scheme, n_points, split)))
     ue = u[np.repeat(element_dofs(mesh), counts, axis=0)]  # (n, 8)
     strains = np.empty((len(areas), 3))
     for c, (area, flux) in enumerate(zip(areas, fluxes)):

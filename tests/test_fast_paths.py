@@ -5,9 +5,10 @@ the array Wachspress construction, the batched skeleton search, the
 site, cell and flux formulas of the per-cell smoothing step, the stacked
 cell-boundary flux of each element, the retry-free concave fallback, the
 array strain recovery and its reuse of the cells and fluxes of
-assemble."""
+assemble, and the one edge-load scatter of apply_tractions."""
 
 import gc
+import math
 import re
 import weakref
 
@@ -34,6 +35,7 @@ from sfem2d.errors import (
 )
 from sfem2d.mesh import (
     CELL_SITES,
+    EDGE_CORNERS,
     SKELETON_SEGMENTS,
     DistortionSpec,
     Mesh,
@@ -65,7 +67,12 @@ from sfem2d.smoothing import (
     element_cells,
     smoothed_b,
 )
-from sfem2d.solver import assemble, cell_strains, element_dofs
+from sfem2d.solver import (
+    apply_tractions,
+    assemble,
+    cell_strains,
+    element_dofs,
+)
 
 from conftest import interior_points, random_convex_quad, random_simple_quad
 
@@ -203,12 +210,14 @@ class TestRollFreeHelpers:
         with np.errstate(divide="ignore", invalid="ignore"):
             np.testing.assert_array_equal(polygon_centroid(quad),
                                           roll_centroid(quad))
+        reason = loop_reason(quad, roll_area(quad))
         try:
             convex = check_quads(quad[None])[0]
-        except InvalidElement:
-            # inverted or self-crossing: no convexity flag
-            assert roll_area(quad) <= 0.0 or not is_simple_quad(quad)
+        except InvalidElement as err:
+            # a rejected quad has no convexity flag
+            assert str(err) == f"element 0: {reason}"
             return
+        assert reason is None
         assert convex == roll_convex(quad)
 
 
@@ -228,6 +237,24 @@ def is_simple_quad(p):
     return not (cross(p[0], p[1], p[2], p[3]) or cross(p[1], p[2], p[3], p[0]))
 
 
+def loop_reason(quad, area):
+    """Why check_quads rejects a quad of the given signed area, side by
+    side (None when it passes): inverted, self-crossing, two coincident
+    corners, or an area within the shoelace rounding bound."""
+    sides = [(quad[i], quad[(i + 1) % 4]) for i in range(4)]
+    rounding = 16.0 * np.finfo(float).eps * sum(
+        abs(a[0] * b[1]) + abs(b[0] * a[1]) for a, b in sides)
+    if area <= 0.0:
+        return "inverted quad (signed area <= 0)"
+    if not is_simple_quad(quad):
+        return "self-intersecting quad"
+    if any(math.hypot(*(b - a)) == 0.0 for a, b in sides):
+        return "two corners coincide"
+    if 2.0 * area <= rounding:
+        return "area within round-off of zero"
+    return None
+
+
 class TestArrayDistortionChecks:
     @settings(max_examples=150, deadline=None)
     @given(nx=st.integers(2, 7), ny=st.integers(2, 7),
@@ -245,11 +272,9 @@ class TestArrayDistortionChecks:
                              * alpha * np.array([dx, dy]))
         expected = None
         for e, quad in enumerate(coords[m.conn]):
-            if polygon_area(quad) <= 0.0:
-                expected = (e, "distortion inverted the element")
-                break
-            if not is_simple_quad(quad):
-                expected = (e, "distortion produced a self-intersecting quad")
+            reason = loop_reason(quad, polygon_area(quad))
+            if reason is not None:
+                expected = (e, reason)
                 break
         if expected is None:
             out = distort_mesh(m, DistortionSpec(alpha, seed), dx, dy)
@@ -427,11 +452,11 @@ def quad_flags_by_sum(quads):
 
 def check_quads_by_sum(quads):
     area, crossed, convex = quad_flags_by_sum(quads)
-    bad = np.flatnonzero((area <= 0.0) | crossed)
-    if bad.size:
-        e = int(bad[0])
-        raise InvalidElement(e, "inverted quad (signed area <= 0)"
-                             if area[e] <= 0.0 else "self-intersecting quad")
+    for e, quad in enumerate(quads):
+        assert crossed[e] == (not is_simple_quad(quad))
+        reason = loop_reason(quad, area[e])
+        if reason is not None:
+            raise InvalidElement(e, reason)
     return convex
 
 
@@ -472,8 +497,11 @@ class TestStackedShoelace:
         nxt = np.array([1, 2, 3, 0])
         rounding = 16.0 * np.finfo(float).eps * (
             np.abs(x * y[:, nxt]) + np.abs(x[:, nxt] * y)).sum(axis=1)
-        agree = (polygon_area(quads) > 0.0) == (area > 0.0)
+        fast_area = polygon_area(quads)
+        agree = (fast_area > 0.0) == (area > 0.0)
         assert agree[np.abs(2.0 * area) > rounding].all()
+        # either area within the bound is rejected as round-off
+        agree &= (2.0 * fast_area <= rounding) == (2.0 * area <= rounding)
         if agree.all():
             fast = outcome(check_quads, quads)
             slow = outcome(check_quads_by_sum, quads)
@@ -481,6 +509,20 @@ class TestStackedShoelace:
                 assert fast == slow
             else:
                 np.testing.assert_array_equal(fast, slow)
+
+
+class TestRoundOffArea:
+    @settings(max_examples=300, deadline=None)
+    @given(t=arrays(np.float64, 4, elements=st.floats(-1.0, 1.0)),
+           line=arrays(np.float64, (2, 2), elements=st.floats(-10.0, 10.0)),
+           shift=SHIFTS, scale=SCALES)
+    def test_collinear_quads_rejected(self, t, line, shift, scale):
+        # four corners on one line, in any order: zero area up to round-off
+        anchor, direction = line
+        quad = shifted_and_scaled(anchor + t[:, None] * direction, shift,
+                                  scale)
+        with pytest.raises(InvalidElement, match="^element 0: "):
+            check_quads(quad[None])
 
 
 class TestArrayWachspress:
@@ -859,14 +901,25 @@ class TestAssembledCellsReuse:
         assert calls == {"shape_evaluator": 0, "subdivide_adaptive": 0,
                          "check_quads": 0, "smoothed_b": len(verts)}
 
-    def test_replaced_coordinates_rebuild(self):
+    def test_mesh_attributes_cannot_change(self):
+        # the kept cells stay those of the mesh's one set of arrays
         mesh = generate_structured_mesh(2, 2, 2.0, 1.0)
         u = 1e-3 * np.arange(2 * mesh.num_nodes)
         assemble(mesh, "wachspress", 4, MaterialModel(1.0, 0.3))
         moved = distorted_grid(2, 2, 0.4, 3)   # moves the center node
-        mesh.coords = moved.coords
+        for name in ("coords", "conn", "boundary_edges", "num_nodes"):
+            with pytest.raises(AttributeError):
+                setattr(mesh, name, getattr(moved, name))
+            with pytest.raises(AttributeError):
+                delattr(mesh, name)
+        with pytest.raises(AttributeError):
+            mesh.coords = mesh.coords.copy()
+        with pytest.raises(AttributeError):
+            mesh.tag = "new"
+        assert not np.array_equal(mesh.coords, moved.coords)
         args = (u, "wachspress", 4, None, "12-34")
-        assert_same_recovery(recovered(mesh, *args), recovered(moved, *args))
+        assert_same_recovery(recovered(mesh, *args),
+                             recovered(copy_mesh(mesh), *args))
 
     def test_mesh_arrays_are_read_only(self):
         mesh = generate_structured_mesh(2, 1, 2.0, 1.0)
@@ -883,3 +936,53 @@ class TestAssembledCellsReuse:
         del mesh
         gc.collect()
         assert ref() is None
+
+
+def tractions_two_branch(mesh, tag, traction, n_points, scheme, k_cells):
+    """apply_tractions as two scatters, hat functions on the edge's corners
+    or lagrange values on all four (its form before one scatter served
+    every scheme)."""
+    load = np.zeros(2 * mesh.num_nodes)
+    xi, wq = GAUSS_1D[n_points]
+    for be in [be for be in mesh.boundary_edges if be.tag == tag]:
+        nodes = mesh.conn[be.element]
+        quad = mesh.coords[nodes]
+        a, b = EDGE_CORNERS[be.local_edge]
+        v0, v1 = quad[a], quad[b]
+        edge = v1 - v0
+        length = float(np.hypot(edge[0], edge[1]))
+        pts = 0.5 * (v0 + v1) + 0.5 * np.outer(xi, edge)
+        tvals = np.array([traction(x, y) for x, y in pts])
+        weights = 0.5 * length * wq
+        if scheme == "lagrange":
+            nvals = np.asarray(shape_evaluator(scheme, quad, k_cells)(pts))
+            for i, node in enumerate(nodes):
+                fi = (weights * nvals[:, i]) @ tvals
+                load[2 * node : 2 * node + 2] += fi
+        else:
+            fa = (weights * (0.5 * (1.0 - xi))) @ tvals
+            fb = (weights * (0.5 * (1.0 + xi))) @ tvals
+            na, nb = nodes[a], nodes[b]
+            load[2 * na : 2 * na + 2] += fa
+            load[2 * nb : 2 * nb + 2] += fb
+    return load
+
+
+class TestOneScatter:
+    @settings(max_examples=100, deadline=None)
+    @given(mesh=st.builds(distorted_grid, st.integers(1, 5),
+                          st.integers(1, 4), st.floats(0.0, 0.5), SEEDS),
+           tag=st.sampled_from(["left", "right", "top", "bottom"]),
+           coef=arrays(np.float64, 6, elements=st.floats(-5.0, 5.0)),
+           scheme=SCHEMES, n_points=st.integers(1, 4),
+           k=st.sampled_from([1, 2, 4]))
+    def test_bit_equal_to_two_branch_loop(self, mesh, tag, coef, scheme,
+                                          n_points, k):
+        # affine tractions change sign inside the [0, 2] x [-0.5, 0.5] grid
+        def traction(x, y):
+            return (coef[0] * (x - 1.0) + coef[1] * y + coef[2],
+                    coef[3] * (x - 1.0) + coef[4] * y + coef[5])
+
+        fast = apply_tractions(mesh, tag, traction, n_points, scheme, k)
+        slow = tractions_two_branch(mesh, tag, traction, n_points, scheme, k)
+        np.testing.assert_array_equal(fast, slow)

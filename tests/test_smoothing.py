@@ -175,6 +175,14 @@ class TestElementStiffness:
         assert ke.spurious_modes == 2
         assert any("spurious" in str(w.message) for w in recwarn.list)
 
+    @pytest.mark.parametrize("scheme", ["wachspress", "averaged"])
+    def test_coincident_corners_raise_degenerate_element(self, scheme):
+        # simple, CCW, area 1; corners 1 and 2 share a point
+        quad = np.array([[0.0, 2.0], [0.0, 2.0], [2.0, -2.0], [1.0, 1.0]])
+        with pytest.raises(DegenerateElement, match="line through .* is "
+                           "undefined"):
+            element_stiffness(quad, 4, scheme, MaterialModel(1.0, 0.3))
+
     @pytest.mark.parametrize("k", [2, 4])
     def test_rank_and_symmetry(self, k, rng):
         mat = MaterialModel(3e7, 0.3)

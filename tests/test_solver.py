@@ -76,6 +76,11 @@ class TestAssemble:
         # signed area +1, but sides 2-3 and 4-1 cross
         ([(0, 0), (3, 0), (0, 1), (1, 2)], "self-intersecting quad"),
         ([(0, 0), (0, 1), (1, 1), (1, 0)], "inverted quad (signed area <= 0)"),
+        # area 1, two distinct nodes at one point: a zero-length side
+        ([(0, 2), (0, 2), (2, -2), (1, 1)], "two corners coincide"),
+        # on the line y = x / 10; the shoelace gives 3.5e-18
+        ([(0.1, 0.01), (0.2, 0.02), (0.4, 0.04), (0.7, 0.07)],
+         "area within round-off of zero"),
     ])
     def test_invalid_element_rejected_before_smoothing(self, scheme, corners,
                                                        reason):
@@ -158,6 +163,14 @@ class TestDirichletAndSolve:
         sol = solve(system)
         assert sol.residual < 1e-10
         assert np.abs(sol.u).max() < 1e-12  # no load, fully pinned
+
+    def test_negative_node_id_rejected(self):
+        # node -1 would index the last node and fix DOFs -2 and -1
+        m = generate_structured_mesh(2, 1, 2.0, 1.0)
+        system = assemble(m, "wachspress", 4, MAT)
+        with pytest.raises(ValueError, match="at dof -2 "):
+            apply_dirichlet(system, [-1], linear_field)
+        assert system.fixed == {}
 
     @pytest.mark.parametrize("dof, value", [
         (-1, 0.0), (10 ** 6, 0.0), (8, 0.0), (1.5, 0.0),
