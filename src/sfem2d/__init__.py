@@ -37,10 +37,8 @@ from .mesh import (
     generate_structured_mesh,
     mesh_from_text,
     mesh_to_text,
-    read_mesh_text,
     subdivide_adaptive,
     table_sites,
-    write_mesh_text,
 )
 from .shapefn import (
     LagrangeBasis,

@@ -40,16 +40,14 @@ from .solver import (
 log = logging.getLogger(__name__)
 
 # 3-point, degree-2 rule on the reference triangle (barycentric corners).
-_TRI3_BARY = np.array(
-    [
-        [2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0],
-        [1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0],
-        [1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0],
-    ]
-)
+_TRI3_BARY = np.array([[2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0],
+                       [1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0],
+                       [1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0]])
 # Cells per block of the error quadrature: each temporary array stays under
 # 80 kB, so the pass adds little to peak memory and runs no slower.
 _ERROR_BLOCK = 256
+# Re-seeds beam_mesh tries after a distortion draw check_quads rejects.
+_MAX_RESEEDS = 10
 
 
 @dataclass(frozen=True)
@@ -159,12 +157,12 @@ def run_patch_test(scheme, k_cells, distorted=False, seed=3, quadrature=None,
     return np.abs(sol.u.reshape(-1, 2)[interior] - exact).max()
 
 
-def beam_mesh(beam, mesh_index, alpha_ir=0.0, seed=0, max_retries=10):
+def beam_mesh(beam, mesh_index, alpha_ir=0.0, seed=0):
     """Structured (optionally distorted) cantilever mesh for a mesh index.
 
     mesh index = elements along x / beam length; the element count across
     the height keeps elements square for the default 2:1 beam. On an
-    InvalidElement the distortion is re-seeded up to max_retries times
+    InvalidElement the distortion is re-seeded up to _MAX_RESEEDS times
     (each retry logged).
     """
     nx = int(round(mesh_index * beam.length))
@@ -177,7 +175,7 @@ def beam_mesh(beam, mesh_index, alpha_ir=0.0, seed=0, max_retries=10):
     dx = beam.length / nx
     dy = beam.height / ny
     attempt_seed = seed
-    for attempt in range(max_retries + 1):
+    for attempt in range(_MAX_RESEEDS + 1):
         try:
             return distort_mesh(mesh, DistortionSpec(alpha_ir, attempt_seed),
                                 dx, dy)
@@ -185,7 +183,7 @@ def beam_mesh(beam, mesh_index, alpha_ir=0.0, seed=0, max_retries=10):
             log.warning("distortion seed %d rejected (%s); re-seeding",
                         attempt_seed, err)
             attempt_seed = seed + 1_000_003 * (attempt + 1)
-    raise InvalidElement(-1, f"no valid mesh after {max_retries} re-seeds")
+    raise InvalidElement(-1, f"no valid mesh after {_MAX_RESEEDS} re-seeds")
 
 
 def solve_beam(beam, mesh_index, scheme, k_cells, alpha_ir=0.0, seed=0,

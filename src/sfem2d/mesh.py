@@ -232,18 +232,13 @@ def generate_structured_mesh(nx, ny, length, height):
     nid = np.arange((nx + 1) * (ny + 1)).reshape(ny + 1, nx + 1)  # [j, i]
     conn = np.column_stack([nid[:-1, :-1].ravel(), nid[:-1, 1:].ravel(),
                             nid[1:, 1:].ravel(), nid[1:, :-1].ravel()])
-    boundary = []
-    for j in range(ny):
-        for i in range(nx):
-            e = j * nx + i
-            if j == 0:
-                boundary.append(BoundaryEdge(e, 0, "bottom"))
-            if i == nx - 1:
-                boundary.append(BoundaryEdge(e, 1, "right"))
-            if j == ny - 1:
-                boundary.append(BoundaryEdge(e, 2, "top"))
-            if i == 0:
-                boundary.append(BoundaryEdge(e, 3, "left"))
+    # element by element, each one's edges in local order
+    boundary = [BoundaryEdge(j * nx + i, edge, tag)
+                for j in range(ny) for i in range(nx)
+                for edge, tag, on in ((0, "bottom", j == 0),
+                                      (1, "right", i == nx - 1),
+                                      (2, "top", j == ny - 1),
+                                      (3, "left", i == 0)) if on]
     return Mesh(coords, conn, boundary)
 
 
@@ -410,13 +405,3 @@ def mesh_from_text(text):
     except _BadRow as err:  # node rows follow the header, edge rows come last
         first = 1 if err.kind == "node" else 1 + n + e
         raise ValueError(f"line {rows[first + err.index][0]}: {err}") from err
-
-
-def write_mesh_text(mesh, path):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(mesh_to_text(mesh))
-
-
-def read_mesh_text(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return mesh_from_text(fh.read())

@@ -11,6 +11,7 @@ from __future__ import annotations
 import warnings
 import weakref
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,7 +24,7 @@ from .errors import (
     UnknownTag,
 )
 from .mesh import EDGE_CORNERS, check_quads
-from .shapefn import shape_evaluator
+from .shapefn import check_scheme, shape_evaluator
 from .smoothing import (
     GAUSS_1D,
     check_quadrature,
@@ -46,10 +47,14 @@ def element_dofs(mesh):
 
 @dataclass(eq=False)
 class GlobalSystem:
+    """``fixed`` (dof -> prescribed value) is a read-only view, written
+    only by fix_dof and apply_dirichlet; solve checks ``load``."""
     mesh: object
     stiffness: sp.csr_matrix
     load: np.ndarray
-    fixed: dict = field(default_factory=dict)  # dof -> prescribed value
+    _fixed: dict = field(default_factory=dict, init=False)
+
+    fixed = property(lambda self: MappingProxyType(self._fixed))
 
 
 @dataclass(eq=False)
@@ -131,6 +136,7 @@ def apply_tractions(mesh, edge_tag, traction, n_points=2, scheme="wachspress",
     edges = [be for be in mesh.boundary_edges if be.tag == edge_tag]
     if not edges:
         raise UnknownTag(f"no boundary edge tagged {edge_tag!r}")
+    check_scheme(scheme)
     check_quadrature(n_points)
     load = np.zeros(2 * mesh.num_nodes)
     xi, wq = GAUSS_1D[n_points]
@@ -152,24 +158,46 @@ def apply_tractions(mesh, edge_tag, traction, n_points=2, scheme="wachspress",
     return load
 
 
+def _is_index(i, n):
+    """An integer (numpy's too, not bool) in 0..n-1."""
+    return (isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+            and 0 <= i < n)
+
+
+def _prescribe(system, pairs):
+    """The one writer of system.fixed: stores all (dof, value) pairs, or
+    none if a dof is no index, a value not finite, or no DOF left free."""
+    n = system.stiffness.shape[0]
+    for dof, value in pairs:
+        if not (_is_index(dof, n) and np.isfinite(value)):
+            raise ValueError(
+                f"cannot prescribe {value} at dof {dof} of 0..{n - 1}")
+    if len(system._fixed.keys() | {dof for dof, _ in pairs}) >= n:
+        raise AllDofsFixed("every degree of freedom is prescribed")
+    system._fixed.update((int(dof), float(value)) for dof, value in pairs)
+
+
 def apply_dirichlet(system, node_ids, displacement):
     """Prescribe both displacement components of the given nodes from
-    ``displacement(x, y) -> (ux, uy)`` with fix_dof; returns the system."""
-    for n in node_ids:
-        ux, uy = displacement(*system.mesh.coords[n])
-        fix_dof(system, 2 * n, ux)
-        fix_dof(system, 2 * n + 1, uy)
+    ``displacement(x, y) -> (ux, uy)``, all or none: every id must be an
+    integer in 0..N-1 and every value pass fix_dof. Returns the system."""
+    coords = system.mesh.coords
+    node_ids = list(node_ids)
+    for i in node_ids:
+        if not _is_index(i, len(coords)):
+            raise ValueError(f"no node {i} in 0..{len(coords) - 1}")
+    pairs = []
+    for i in node_ids:
+        ux, uy = displacement(*coords[i])
+        pairs += [(2 * i, ux), (2 * i + 1, uy)]
+    _prescribe(system, pairs)
     return system
 
 
 def fix_dof(system, dof, value=0.0):
-    """Prescribe a single degree of freedom."""
-    n = system.stiffness.shape[0]
-    if not (0 <= dof < n and dof == int(dof) and np.isfinite(value)):
-        raise ValueError(f"cannot prescribe {value} at dof {dof} of 0..{n - 1}")
-    system.fixed[dof] = float(value)
-    if len(system.fixed) >= n:
-        raise AllDofsFixed("every degree of freedom is prescribed")
+    """Prescribe one DOF: an integer in 0..n-1, a finite value, and at
+    least one DOF left free."""
+    _prescribe(system, [(dof, value)])
     return system
 
 
@@ -191,18 +219,22 @@ def solve(system):
 
     Enforces the residual contract |K u - f| / |f| < 1e-10 on the reduced
     system and reports the strain energy 0.5 u^T K u through the full
-    stiffness (prescribed DOFs included).
+    stiffness (prescribed DOFs included). A load that is not a finite
+    array of shape (n,) raises ValueError.
     """
     n = system.stiffness.shape[0]
-    fixed_dofs = np.array(sorted(system.fixed), dtype=int)
-    fixed_vals = np.array([system.fixed[d] for d in fixed_dofs])
-    free = np.setdiff1d(np.arange(n), fixed_dofs)
-    if free.size == 0:
+    if n == 0:  # otherwise the writer of system.fixed leaves a DOF free
         raise AllDofsFixed("every degree of freedom is prescribed")
+    load = np.asarray(system.load, dtype=float)
+    if load.shape != (n,) or not np.isfinite(load).all():
+        raise ValueError(f"load must be a finite array of shape ({n},)")
+    fixed_dofs = np.array(sorted(system._fixed), dtype=int)
+    fixed_vals = np.array([system._fixed[d] for d in fixed_dofs])
+    free = np.setdiff1d(np.arange(n), fixed_dofs)
 
     k = system.stiffness
     k_ff = k[free][:, free]
-    rhs = system.load[free]
+    rhs = load[free]
     if fixed_dofs.size:
         rhs = rhs - k[free][:, fixed_dofs] @ fixed_vals
 
@@ -225,7 +257,7 @@ def solve(system):
     u[fixed_dofs] = fixed_vals
     ku = k @ u
     energy = 0.5 * float(u @ ku)
-    reactions = ku[fixed_dofs] - system.load[fixed_dofs]
+    reactions = ku[fixed_dofs] - load[fixed_dofs]
     return Solution(u=u, strain_energy=energy, residual=rel,
                     fixed_dofs=fixed_dofs, reactions=reactions)
 

@@ -65,58 +65,37 @@ def loglog_svg(series, xlabel, ylabel, title="", annotations=()):
     ]
     for t in ax.ticks():
         x = ax(t)
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{MARGIN_T}" x2="{_fmt(x)}" '
-            f'y2="{HEIGHT - MARGIN_B}" stroke="#dddddd"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{HEIGHT - MARGIN_B + 18}" '
-            f'text-anchor="middle" font-size="12">{t:g}</text>'
-        )
+        parts += [f'<line x1="{_fmt(x)}" y1="{MARGIN_T}" x2="{_fmt(x)}" '
+                  f'y2="{HEIGHT - MARGIN_B}" stroke="#dddddd"/>',
+                  f'<text x="{_fmt(x)}" y="{HEIGHT - MARGIN_B + 18}" '
+                  f'text-anchor="middle" font-size="12">{t:g}</text>']
     for t in ay.ticks():
         y = ay(t)
-        parts.append(
-            f'<line x1="{MARGIN_L}" y1="{_fmt(y)}" x2="{WIDTH - MARGIN_R}" '
-            f'y2="{_fmt(y)}" stroke="#dddddd"/>'
-        )
-        parts.append(
-            f'<text x="{MARGIN_L - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-size="12">{t:g}</text>'
-        )
+        parts += [f'<line x1="{MARGIN_L}" y1="{_fmt(y)}" '
+                  f'x2="{WIDTH - MARGIN_R}" y2="{_fmt(y)}" stroke="#dddddd"/>',
+                  f'<text x="{MARGIN_L - 8}" y="{_fmt(y + 4)}" '
+                  f'text-anchor="end" font-size="12">{t:g}</text>']
     for i, (label, xs, ys) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
         pts = " ".join(f"{_fmt(ax(x))},{_fmt(ay(y))}" for x, y in zip(xs, ys))
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            'stroke-width="1.5"/>'
-        )
-        for x, y in zip(xs, ys):
-            parts.append(
-                f'<circle cx="{_fmt(ax(x))}" cy="{_fmt(ay(y))}" r="3" '
-                f'fill="{color}"/>'
-            )
-        parts.append(
-            f'<text x="{WIDTH - MARGIN_R - 8}" y="{MARGIN_T + 18 + 16 * i}" '
-            f'text-anchor="end" font-size="12" fill="{color}">{label}</text>'
-        )
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                     'stroke-width="1.5"/>')
+        parts += [f'<circle cx="{_fmt(ax(x))}" cy="{_fmt(ay(y))}" r="3" '
+                  f'fill="{color}"/>' for x, y in zip(xs, ys)]
+        parts.append(f'<text x="{WIDTH - MARGIN_R - 8}" '
+                     f'y="{MARGIN_T + 18 + 16 * i}" text-anchor="end" '
+                     f'font-size="12" fill="{color}">{label}</text>')
     if title:
-        parts.append(
-            f'<text x="{WIDTH // 2}" y="{MARGIN_T - 14}" text-anchor="middle" '
-            f'font-size="14">{title}</text>'
-        )
-    parts.append(
-        f'<text x="{WIDTH // 2}" y="{HEIGHT - 16}" text-anchor="middle" '
-        f'font-size="13">{xlabel}</text>'
-    )
-    parts.append(
-        f'<text x="20" y="{HEIGHT // 2}" text-anchor="middle" font-size="13" '
-        f'transform="rotate(-90 20 {HEIGHT // 2})">{ylabel}</text>'
-    )
-    for i, note in enumerate(annotations):
-        parts.append(
-            f'<text x="{MARGIN_L + 10}" y="{MARGIN_T + 18 + 16 * i}" '
-            f'font-size="12">{note}</text>'
-        )
+        parts.append(f'<text x="{WIDTH // 2}" y="{MARGIN_T - 14}" '
+                     f'text-anchor="middle" font-size="14">{title}</text>')
+    parts += [f'<text x="{WIDTH // 2}" y="{HEIGHT - 16}" '
+              f'text-anchor="middle" font-size="13">{xlabel}</text>',
+              f'<text x="20" y="{HEIGHT // 2}" text-anchor="middle" '
+              f'font-size="13" transform="rotate(-90 20 {HEIGHT // 2})">'
+              f'{ylabel}</text>']
+    parts += [f'<text x="{MARGIN_L + 10}" y="{MARGIN_T + 18 + 16 * i}" '
+              f'font-size="12">{note}</text>'
+              for i, note in enumerate(annotations)]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -563,6 +563,17 @@ class TestArrayWachspress:
             assert_same_basis(fast, slow)
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(quad=st.builds(shifted_and_scaled, st.one_of(QUADS, GRID_QUADS),
+                          SHIFTS, SCALES))
+    def test_kronecker_delta_is_exact(self, quad):
+        # build_wachspress no longer checks it: the other wedges vanish
+        # exactly at each node, so N_i(node i) = w_i / w_i
+        basis = outcome(build_wachspress, quad)
+        assume(not isinstance(basis, tuple))
+        assert np.array_equal(eval_wachspress(basis, quad), np.eye(4))
+
+
 class TestBatchedSkeleton:
     @settings(max_examples=200, deadline=None)
     @given(quad=QUADS, sub=SUBDIVISIONS, pseed=SEEDS,

@@ -12,6 +12,7 @@ from sfem2d.errors import (
     UnknownTag,
 )
 from sfem2d.mesh import Mesh, generate_structured_mesh
+from sfem2d.shapefn import shape_evaluator
 from sfem2d.smoothing import MaterialModel, element_stiffness
 from sfem2d.solver import (
     GlobalSystem,
@@ -124,6 +125,17 @@ class TestTractions:
             apply_tractions(m, "free-end", lambda x, y: (1.0, 0.0))
 
 
+@pytest.mark.parametrize("call", ["shape_evaluator", "apply_tractions"])
+def test_unknown_scheme_is_value_error(call):
+    # apply_tractions used to give the hat-function loads for any scheme
+    m = generate_structured_mesh(1, 1, 1, 1)
+    with pytest.raises(ValueError, match=r"^unknown scheme 'foo'; expected"):
+        if call == "shape_evaluator":
+            shape_evaluator("foo", m.coords[m.conn[0]])
+        else:
+            apply_tractions(m, "right", lambda x, y: (1.0, 0.0), scheme="foo")
+
+
 @pytest.mark.parametrize("n_points", [0, 5, 6])
 @pytest.mark.parametrize("call", ["element_stiffness", "apply_tractions"])
 def test_bad_quadrature_count_is_value_error(call, n_points):
@@ -153,6 +165,24 @@ class TestDirichletAndSolve:
         system = assemble(m, "wachspress", 4, MAT)
         with pytest.raises(AllDofsFixed):
             apply_dirichlet(system, [0, 1, 2, 3], linear_field)
+        assert system.fixed == {}
+        empty = GlobalSystem(mesh=None, stiffness=sp.csr_matrix((0, 0)),
+                             load=np.zeros(0))
+        with pytest.raises(AllDofsFixed):
+            solve(empty)
+
+    def test_fixed_is_read_only(self):
+        # a write to fixed used to reach solve unchecked: DOFs -2 and -1
+        # fixed node 5 at (0, 0)
+        system = assemble(generate_structured_mesh(2, 1, 2.0, 1.0),
+                          "wachspress", 4, MAT)
+        with pytest.raises(TypeError):
+            system.fixed[-2] = 0.0
+        with pytest.raises(AttributeError):
+            system.fixed = {-2: 0.0}
+        fix_dof(system, 3, 1.0)
+        fix_dof(system, 3, 2.0)  # a prescribed DOF may be prescribed again
+        assert system.fixed == {3: 2.0}
 
     def test_minimal_constraints_solve(self):
         m = generate_structured_mesh(2, 1, 2, 1)
@@ -164,17 +194,40 @@ class TestDirichletAndSolve:
         assert sol.residual < 1e-10
         assert np.abs(sol.u).max() < 1e-12  # no load, fully pinned
 
-    def test_negative_node_id_rejected(self):
-        # node -1 would index the last node and fix DOFs -2 and -1
+    @pytest.mark.parametrize("node_ids", [
+        [-1], [6], [1.5], [True], [0, 6],
+    ], ids=["-1", "6", "1.5", "True", "0,6"])
+    def test_bad_node_id_rejected(self, node_ids):
+        # node -1 would index the last node and fix DOFs -2 and -1; node 6
+        # (of 6) and 1.5 used to raise IndexError, True a TypeError
         m = generate_structured_mesh(2, 1, 2.0, 1.0)
         system = assemble(m, "wachspress", 4, MAT)
-        with pytest.raises(ValueError, match="at dof -2 "):
-            apply_dirichlet(system, [-1], linear_field)
+        fix_dof(system, 11, 0.5)
+        with pytest.raises(ValueError, match=rf"^no node {node_ids[-1]} in "
+                           r"0\.\.5$"):
+            apply_dirichlet(system, node_ids, linear_field)
+        assert system.fixed == {11: 0.5}
+
+    def test_numpy_node_ids_accepted(self):
+        m = generate_structured_mesh(2, 1, 2.0, 1.0)
+        by_list, by_array = (assemble(m, "wachspress", 4, MAT)
+                             for _ in range(2))
+        apply_dirichlet(by_list, [0, 1, 2], linear_field)
+        apply_dirichlet(by_array, np.arange(3), linear_field)
+        assert by_array.fixed == by_list.fixed
+        assert list(by_array.fixed) == list(range(6))
+
+    def test_nonfinite_displacement_stores_nothing(self):
+        # the first component used to be stored before the second raised
+        m = generate_structured_mesh(2, 1, 2.0, 1.0)
+        system = assemble(m, "wachspress", 4, MAT)
+        with pytest.raises(ValueError, match="cannot prescribe nan at dof 1 "):
+            apply_dirichlet(system, [0], lambda x, y: (0.0, float("nan")))
         assert system.fixed == {}
 
     @pytest.mark.parametrize("dof, value", [
-        (-1, 0.0), (10 ** 6, 0.0), (8, 0.0), (1.5, 0.0),
-        (0, float("nan")), (0, float("inf")),
+        (-1, 0.0), (10 ** 6, 0.0), (8, 0.0), (1.5, 0.0), (2.0, 0.0),
+        (True, 0.0), (np.True_, 0.0), (0, float("nan")), (0, float("inf")),
     ])
     def test_fix_dof_rejects_bad_dof_or_value(self, dof, value):
         # a negative index would silently overwrite the last DOF's solution
@@ -183,6 +236,23 @@ class TestDirichletAndSolve:
         with pytest.raises(ValueError):
             fix_dof(system, dof, value)
         assert system.fixed == {}
+
+    @pytest.mark.parametrize("load", ["long", "short", "nan"])
+    def test_bad_load_rejected(self, load):
+        # a long load used to be truncated (its extra entries ignored), a
+        # short one to raise IndexError, a NaN to raise SingularSystem
+        m = generate_structured_mesh(2, 1, 2.0, 1.0)
+        system = assemble(m, "wachspress", 4, MAT)
+        apply_dirichlet(system, m.boundary_node_ids("left"),
+                        lambda x, y: (0.0, 0.0))
+        good = system.load
+        good[11] = -1.0
+        system.load = {"long": np.concatenate([good, np.full(6, 1e6)]),
+                       "short": good[:-1],
+                       "nan": np.where(np.arange(12) == 3, np.nan, good)}[load]
+        with pytest.raises(ValueError, match=r"^load must be a finite array "
+                           r"of shape \(12,\)$"):
+            solve(system)
 
     def test_identity_system(self):
         n = 6
