@@ -27,6 +27,7 @@ from .smoothing import (
     GAUSS_1D,
     MaterialModel,
     elasticity_matrix,
+    pass_key,
     smoothed_b,  # noqa: F401  bench/tests reads sfem2d.benchmarks.smoothed_b
 )
 from .solver import (
@@ -157,18 +158,22 @@ def run_patch_test(scheme, k_cells, distorted=False, seed=3, quadrature=None,
     return np.abs(sol.u.reshape(-1, 2)[interior] - exact).max()
 
 
-def beam_mesh(beam, mesh_index, alpha_ir=0.0, seed=0):
-    """Structured (optionally distorted) cantilever mesh for a mesh index.
-
-    mesh index = elements along x / beam length; the element count across
-    the height keeps elements square for the default 2:1 beam. On an
-    InvalidElement the distortion is re-seeded up to _MAX_RESEEDS times
-    (each retry logged).
-    """
-    nx = int(round(mesh_index * beam.length))
+def _beam_grid(beam, mesh_index):
+    """(nx, ny): nx = round(mesh index * length) elements along x, and ny
+    across the height keeps them square for the default 2:1 beam."""
+    along = mesh_index * beam.length
+    nx = int(round(along)) if np.isfinite(along) else 0
     if nx < 1:
-        raise ValueError(f"mesh index {mesh_index} gives no elements")
-    ny = max(1, int(round(nx * beam.height / beam.length)))
+        raise ValueError(f"mesh index {mesh_index:g} gives no elements")
+    return nx, max(1, int(round(nx * beam.height / beam.length)))
+
+
+def beam_mesh(beam, mesh_index, alpha_ir=0.0, seed=0):
+    """Structured (optionally distorted) cantilever mesh for a mesh index
+    (elements along x / beam length). On an InvalidElement the distortion
+    is re-seeded up to _MAX_RESEEDS times (each retry logged).
+    """
+    nx, ny = _beam_grid(beam, mesh_index)
     mesh = generate_structured_mesh(nx, ny, beam.length, beam.height)
     if alpha_ir == 0.0:
         return mesh
@@ -252,10 +257,14 @@ class RateFit:
     r_squared: float
 
 
+def _check_distinct(mesh_indices):
+    if len(set(mesh_indices)) < 2:
+        raise ValueError("a rate fit needs at least two distinct mesh indices")
+
+
 def fit_rate(records):
     """Least-squares slope of log(error) against log(h), h = 1/mesh_index."""
-    if len({r.mesh_index for r in records}) < 2:
-        raise ValueError("a rate fit needs at least two distinct mesh indices")
+    _check_distinct([r.mesh_index for r in records])
     h = np.log([1.0 / r.mesh_index for r in records])
     err = np.log([r.energy_norm_error for r in records])
     slope, intercept = np.polyfit(h, err, 1)
@@ -282,10 +291,19 @@ def run_convergence_study(scheme, k_cells, alpha_ir=0.0, seeds=(0,),
     Regular meshes do not depend on the seed, so only the first seed runs;
     each irregular seed contributes one record per mesh index, and all
     schemes see the same node set for a given (alpha_ir, seed, index).
+    Every argument is checked before the first solve.
     """
+    pass_key(scheme, k_cells, quadrature, split)
+    DistortionSpec(alpha_ir, 0)  # its alpha_ir range
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ValueError("a study needs at least one seed")
     if list(mesh_indices) != sorted(mesh_indices):
         raise ValueError("mesh_indices must be ascending")
-    use_seeds = (seeds[0],) if alpha_ir == 0.0 else tuple(seeds)
+    _check_distinct(mesh_indices)
+    for mi in mesh_indices:
+        _beam_grid(beam, mi)
+    use_seeds = seeds[:1] if alpha_ir == 0.0 else seeds
     records = []
     for seed in use_seeds:
         for mi in mesh_indices:

@@ -1,7 +1,8 @@
 """Command-line front end: patch tests, single beam runs, convergence
 studies with CSV/SVG artifacts, and a shape-function demo.
 
-Exit codes: 0 on success, 1 on a numerical failure, 2 on usage errors.
+Exit codes: 0 on success, 1 on a numerical failure (an SfemError), 2 on
+a usage error (argparse's own, or a ValueError raised by the library).
 The output directory defaults to $SFEM2D_OUTPUT_DIR, then ./sfem2d-out.
 """
 
@@ -16,43 +17,45 @@ import numpy as np
 
 from . import benchmarks as bench
 from .errors import SfemError
+from .mesh import CELL_SITES, SPLITS, DistortionSpec
 from .shapefn import (
     SCHEMES,
     build_lagrange,
     build_wachspress,
+    check_scheme,
     eval_lagrange,
     eval_wachspress,
 )
-from .smoothing import default_quadrature
+from .smoothing import GAUSS_1D, default_quadrature
 from .svgplot import write_loglog_svg
 
-PARALLELOGRAM = ((0.0, 0.0), (1.0, 0.0), (1.5, 1.0), (0.5, 1.0))
-UNIT_SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+QUADS = {"parallelogram": ((0.0, 0.0), (1.0, 0.0), (1.5, 1.0), (0.5, 1.0)),
+         "unit-square": ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))}
+
+
+def _arg(parse):
+    """An argparse type: parse(text), a ValueError its usage message."""
+    def checked(text):
+        try:
+            return parse(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(err) from None
+    return checked
+
+
+def _finite(text, n, usage):
+    vals = [float(t) for t in text.split(",")]
+    if len(vals) != n or not np.isfinite(vals).all():
+        raise ValueError(usage)
+    return vals
 
 
 def _parse_quad(text):
-    if text == "parallelogram":
-        return PARALLELOGRAM
-    if text == "unit-square":
-        return UNIT_SQUARE
-    vals = [float(t) for t in text.split(",")]
-    if len(vals) != 8 or not np.isfinite(vals).all():
-        raise argparse.ArgumentTypeError(
-            "quad must be 'parallelogram', 'unit-square', or 8 finite "
-            "floats x1,y1,...,x4,y4"
-        )
-    return tuple((vals[2 * i], vals[2 * i + 1]) for i in range(4))
-
-
-def _parse_point(text):
-    vals = [float(t) for t in text.split(",")]
-    if len(vals) != 2 or not np.isfinite(vals).all():
-        raise argparse.ArgumentTypeError("point must be 'x,y', both finite")
-    return tuple(vals)
-
-
-def _parse_indices(text):
-    return [float(t) for t in text.split(",")]
+    if text in QUADS:
+        return QUADS[text]
+    vals = _finite(text, 8, "quad must be 'parallelogram', 'unit-square', "
+                   "or 8 finite floats x1,y1,...,x4,y4")
+    return tuple(zip(vals[0::2], vals[1::2]))
 
 
 def build_parser():
@@ -61,76 +64,58 @@ def build_parser():
         description="Smoothed quad finite elements: benchmarks and demos.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the library owns each rule: check_scheme, and the DistortionSpec range
+    schemes = _arg(lambda t: [check_scheme(s) or s for s in t.split(",")])
+    alpha = _arg(lambda t: DistortionSpec(float(t), 0).alpha_ir)
 
-    def common(p, schemes_many=False):
-        if schemes_many:
-            p.add_argument("--scheme", default="wachspress,averaged",
-                           help="comma-separated schemes (default both "
-                                "wachspress and averaged)")
-        else:
-            p.add_argument("--scheme", default="wachspress", choices=SCHEMES)
-        p.add_argument("--k", type=int, default=4, choices=(1, 2, 4),
+    def common(p, run):
+        p.set_defaults(run=run)
+        p.add_argument("--k", type=int, default=4,
+                       choices=sorted({k for k, _ in CELL_SITES}),
                        help="smoothing cells per element")
         p.add_argument("--quadrature", type=int, default=None,
-                       choices=(1, 2, 3, 4),
+                       choices=sorted(GAUSS_1D),
                        help="Gauss points per boundary segment")
-        p.add_argument("--split", default="12-34", choices=("12-34", "23-41"),
+        p.add_argument("--split", default="12-34", choices=SPLITS,
                        help="bimedian used by the two-cell subdivision")
 
     p = sub.add_parser("patch-test", help="linear patch test")
-    common(p)
-    p.add_argument("--alpha", type=float, default=0.0,
+    p.add_argument("--scheme", default="wachspress", choices=SCHEMES)
+    common(p, cmd_patch_test)
+    p.add_argument("--alpha", type=alpha, default=0.0,
                    help="mesh irregularity; 0 runs the regular 2x2 patch, "
                         ">0 the distorted 3x3 one")
     p.add_argument("--seed", type=int, default=3)
 
     p = sub.add_parser("beam", help="one cantilever solve")
-    common(p)
+    p.add_argument("--scheme", default="wachspress", choices=SCHEMES)
+    common(p, cmd_beam)
     p.add_argument("--mesh-index", type=float, default=4.0)
-    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--alpha", type=alpha, default=0.0)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("convergence", help="mesh-sequence study with CSV/SVG")
-    common(p, schemes_many=True)
-    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--scheme", type=schemes, default="wachspress,averaged",
+                   help="comma-separated schemes (default both wachspress "
+                        "and averaged)")
+    common(p, cmd_convergence)
+    p.add_argument("--alpha", type=alpha, default=0.0)
     p.add_argument("--seeds", type=int, default=1,
                    help="number of seeds (0, 1, ..., n-1) for irregular runs")
-    p.add_argument("--mesh-indices", type=_parse_indices,
+    p.add_argument("--mesh-indices",
+                   type=_arg(lambda t: [float(v) for v in t.split(",")]),
                    default=[0.5, 1.0, 2.0, 4.0])
     p.add_argument("--output-dir", default=None)
 
     p = sub.add_parser("shapefn-demo",
                        help="print shape-function values at a point")
-    p.add_argument("--quad", type=_parse_quad, default=PARALLELOGRAM)
-    p.add_argument("--point", type=_parse_point, default=(0.25, 0.5))
+    p.set_defaults(run=cmd_shapefn_demo)
+    p.add_argument("--quad", type=_arg(_parse_quad),
+                   default=QUADS["parallelogram"])
+    p.add_argument("--point", default=(0.25, 0.5), type=_arg(lambda t: tuple(
+        _finite(t, 2, "point must be 'x,y', both finite"))))
 
     return parser
-
-
-def check_args(parser, args):
-    """The argument checks argparse cannot make; each failure exits 2."""
-    if args.command == "shapefn-demo":
-        return
-    for s in args.scheme.split(","):
-        if s not in SCHEMES:
-            parser.error(f"unknown scheme {s!r}")
-    if not 0.0 <= args.alpha <= 0.5:
-        parser.error("alpha must be in [0, 0.5]")
-    indices = []
-    if args.command == "beam":
-        indices = [args.mesh_index]
-    if args.command == "convergence":
-        indices = args.mesh_indices
-        if indices != sorted(indices):
-            parser.error("mesh indices must be ascending")
-        if len(set(indices)) < 2:
-            parser.error("a rate fit needs at least two distinct mesh indices")
-        if args.seeds < 1:
-            parser.error("--seeds must be at least 1")
-    length = bench.TimoshenkoBeam().length  # beam_mesh: round(index * length)
-    for mi in indices:
-        if not (np.isfinite(mi) and int(round(mi * length)) >= 1):
-            parser.error(f"mesh index {mi:g} gives no elements")
 
 
 def cmd_patch_test(args):
@@ -165,16 +150,16 @@ def cmd_beam(args):
     return 0
 
 
-def _meta_text(args, schemes, seeds):
-    q = {s: (args.quadrature or default_quadrature(s)) for s in schemes}
+def _meta_text(args, seeds):
     lines = [
         "sfem2d convergence study settings",
-        f"schemes: {','.join(schemes)}",
+        f"schemes: {','.join(args.scheme)}",
         f"smoothing cells per element (k): {args.k}",
         f"two-cell split bimedian: {args.split} "
         "(midpoints of those local edges)",
-        f"boundary quadrature points per segment: "
-        + ", ".join(f"{s}={q[s]}" for s in schemes),
+        f"boundary quadrature points per segment: " + ", ".join(
+            f"{s}={args.quadrature or default_quadrature(s)}"
+            for s in args.scheme),
         "essential BC: exact cantilever displacements on the clamped "
         "section (both components)",
         "end load: consistent nodal forces of the parabolic shear, "
@@ -191,15 +176,11 @@ def _meta_text(args, schemes, seeds):
 
 
 def cmd_convergence(args):
-    output_dir = args.output_dir or os.environ.get("SFEM2D_OUTPUT_DIR",
-                                                   "sfem2d-out")
-    os.makedirs(output_dir, exist_ok=True)
-    schemes = args.scheme.split(",")
     seeds = tuple(range(args.seeds))
     all_records = []
     series = []
     annotations = []
-    for scheme in schemes:
+    for scheme in args.scheme:
         study = bench.run_convergence_study(
             scheme, args.k, alpha_ir=args.alpha, seeds=seeds,
             mesh_indices=args.mesh_indices, quadrature=args.quadrature,
@@ -217,6 +198,9 @@ def cmd_convergence(args):
         print(f"{scheme}: rate {study.fit.slope:.4f} "
               f"(r^2 {study.fit.r_squared:.5f}), "
               f"finest energy {study.records[-1].strain_energy:.8g}")
+    output_dir = args.output_dir or os.environ.get("SFEM2D_OUTPUT_DIR",
+                                                   "sfem2d-out")
+    os.makedirs(output_dir, exist_ok=True)
     csv_path = os.path.join(output_dir, "convergence.csv")
     bench.write_records_csv(all_records, csv_path)
     svg_path = os.path.join(output_dir, "convergence.svg")
@@ -227,7 +211,7 @@ def cmd_convergence(args):
     )
     meta_path = os.path.join(output_dir, "meta.txt")
     with open(meta_path, "w", encoding="ascii") as fh:
-        fh.write(_meta_text(args, schemes, seeds))
+        fh.write(_meta_text(args, seeds))
     print(f"wrote {csv_path}, {svg_path}, {meta_path}")
     return 0
 
@@ -251,15 +235,10 @@ def cmd_shapefn_demo(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    check_args(parser, args)
-    handlers = {
-        "patch-test": cmd_patch_test,
-        "beam": cmd_beam,
-        "convergence": cmd_convergence,
-        "shapefn-demo": cmd_shapefn_demo,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
+    except ValueError as err:  # an argument outside its domain
+        parser.error(str(err))
     except SfemError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -274,9 +274,9 @@ def concave_elements(mesh):
 def table_sites(quad):
     """Coordinates of the nine sites of a quad as a (9, 2) array: the
     corners, the midpoints of sides 1-2, 2-3, 3-4, 4-1, and the bimedian
-    intersection."""
+    intersection. Corners of any dimension d give (9, d)."""
     quad = np.asarray(quad, dtype=float)
-    sites = np.empty((9, 2))
+    sites = np.empty((9, quad.shape[1]))
     sites[:4] = quad
     sites[4:8] = 0.5 * (quad + quad[vertex_successors(4)])
     # the bimedians bisect each other at the vertex mean
@@ -284,6 +284,7 @@ def table_sites(quad):
     return sites
 
 
+SPLITS = ("12-34", "23-41")  # the two bimedians, by the sides they join
 # Bimedian subdivisions as table_sites indices, keyed by subdivision_key:
 # the CCW cells, and the site pairs of the cell-boundary segments. The
 # two-cell bimedian is kept as two segments through the center site.
@@ -304,10 +305,10 @@ SKELETON_SEGMENTS = {
 
 
 def subdivision_key(k, split):
-    """Table key of a k-cell subdivision; the split matters only for k=2."""
+    """Table key of a k-cell subdivision; only k=2 keeps its split."""
     if k not in (1, 2, 4):
         raise UnsupportedSubdivision(f"k must be 1, 2 or 4, got {k}")
-    if k == 2 and split not in ("12-34", "23-41"):
+    if split not in SPLITS:
         raise ValueError(f"unknown split {split!r}")
     return (k, split if k == 2 else None)
 

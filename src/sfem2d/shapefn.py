@@ -207,20 +207,9 @@ def eval_lagrange(basis, p):
 # ---------------------------------------------------------------------------
 # Averaged shape functions (nine-site table + skeleton interpolation)
 
-# Rows 1-9: nodes, edge midpoints (1-2, 2-3, 3-4, 4-1), bimedian intersection.
-SITE_VALUES = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.5, 0.5, 0.0, 0.0],
-        [0.0, 0.5, 0.5, 0.0],
-        [0.0, 0.0, 0.5, 0.5],
-        [0.5, 0.0, 0.0, 0.5],
-        [0.25, 0.25, 0.25, 0.25],
-    ]
-)
+# Shape values at the nine sites: the sites of a "quad" whose corners are
+# the unit vectors, one row per site in table_sites order.
+SITE_VALUES = table_sites(np.eye(4))
 
 
 def eval_averaged(quad, k, p, split="12-34"):

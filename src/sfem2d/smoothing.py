@@ -23,8 +23,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DegenerateElement
-from .mesh import subdivide_adaptive, vertex_successors
-from .shapefn import shape_evaluator
+from .mesh import subdivide_adaptive, subdivision_key, vertex_successors
+from .shapefn import check_scheme, shape_evaluator
 
 log = logging.getLogger(__name__)
 
@@ -65,10 +65,15 @@ def default_quadrature(scheme):
     return 1 if scheme == "averaged" else 2
 
 
-def check_quadrature(n_points):
-    """Raise ValueError unless n_points is a Gauss count of GAUSS_1D."""
+def pass_key(scheme, k_cells, n_points=None, split="12-34"):
+    """(scheme, subdivision_key(k_cells, split), Gauss points per segment,
+    None giving the scheme's default), every argument checked."""
+    check_scheme(scheme)
+    key = subdivision_key(k_cells, split)
+    n_points = default_quadrature(scheme) if n_points is None else n_points
     if n_points not in GAUSS_1D:
         raise ValueError(f"n_points must be 1, 2, 3 or 4, got {n_points!r}")
+    return scheme, key, n_points
 
 
 def boundary_flux(vertices, evaluator, n_points=2):
@@ -114,9 +119,7 @@ def element_cells(quad, k_cells, scheme, n_points=None, split="12-34"):
     A strongly concave element whose requested cells would invert is
     smoothed over fewer cells (see subdivide_adaptive).
     """
-    if n_points is None:
-        n_points = default_quadrature(scheme)
-    check_quadrature(n_points)
+    n_points = pass_key(scheme, k_cells, n_points, split)[2]
     (verts, areas), k_used, split_used = subdivide_adaptive(quad, k_cells,
                                                             split)
     if k_used != k_cells:

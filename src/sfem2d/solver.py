@@ -24,18 +24,18 @@ from .errors import (
     UnknownTag,
 )
 from .mesh import EDGE_CORNERS, check_quads
-from .shapefn import check_scheme, shape_evaluator
+from .shapefn import shape_evaluator
 from .smoothing import (
     GAUSS_1D,
-    check_quadrature,
     element_cells,
     element_stiffness,
+    pass_key,
     smoothed_b,
 )
 
 # The smoothing cells of each mesh's last assemble, kept for its error
-# pass: mesh -> ((scheme, k_cells, n_points, split) as passed, stacked
-# cells). A Mesh cannot change, so an entry holds while its mesh lives.
+# pass: mesh -> (pass_key of the pass, stacked cells). A Mesh cannot
+# change, so an entry holds while its mesh lives.
 _ASSEMBLED_CELLS = weakref.WeakKeyDictionary()
 
 
@@ -47,14 +47,20 @@ def element_dofs(mesh):
 
 @dataclass(eq=False)
 class GlobalSystem:
-    """``fixed`` (dof -> prescribed value) is a read-only view, written
-    only by fix_dof and apply_dirichlet; solve checks ``load``."""
+    """``mesh`` and ``stiffness`` cannot be rebound, and ``fixed`` (dof ->
+    prescribed value) is a read-only view, written only by fix_dof and
+    apply_dirichlet; ``load`` may be replaced, and solve checks it."""
     mesh: object
     stiffness: sp.csr_matrix
     load: np.ndarray
     _fixed: dict = field(default_factory=dict, init=False)
 
     fixed = property(lambda self: MappingProxyType(self._fixed))
+
+    def __setattr__(self, name, value):
+        if name in ("mesh", "stiffness") and "_fixed" in vars(self):
+            raise AttributeError(f"a GlobalSystem's {name!r} is fixed")
+        super().__setattr__(name, value)
 
 
 @dataclass(eq=False)
@@ -103,6 +109,7 @@ def assemble(mesh, scheme, k_cells, material, n_points=None, split="12-34"):
     raises InvalidElement for the first element check_quads rejects.
     The smoothing cells and their fluxes are kept for cell_strains on the
     same mesh."""
+    key = pass_key(scheme, k_cells, n_points, split)
     vals = []
 
     def stiffness():
@@ -112,7 +119,7 @@ def assemble(mesh, scheme, k_cells, material, n_points=None, split="12-34"):
             yield ke.cells, ke.areas, ke.fluxes
 
     cells = _stack_cells(mesh.num_elements, stiffness())
-    _ASSEMBLED_CELLS[mesh] = (scheme, k_cells, n_points, split), cells
+    _ASSEMBLED_CELLS[mesh] = key, cells
     edofs = element_dofs(mesh)
     rows = np.repeat(edofs, 8, axis=1).ravel()  # ke row-major
     cols = np.tile(edofs, 8).ravel()
@@ -131,13 +138,12 @@ def apply_tractions(mesh, edge_tag, traction, n_points=2, scheme="wachspress",
     wachspress and averaged schemes restrict linearly to element edges, so
     the edge-node hat functions carry the load; the lagrange scheme is not
     edge-linear and gets its actual shape values, spread over all four
-    element nodes. ``k_cells`` has no effect (lagrange ignores it).
+    element nodes. ``k_cells`` is checked, but no scheme here reads it.
     """
     edges = [be for be in mesh.boundary_edges if be.tag == edge_tag]
     if not edges:
         raise UnknownTag(f"no boundary edge tagged {edge_tag!r}")
-    check_scheme(scheme)
-    check_quadrature(n_points)
+    n_points = pass_key(scheme, k_cells, n_points)[2]
     load = np.zeros(2 * mesh.num_nodes)
     xi, wq = GAUSS_1D[n_points]
     hats = np.column_stack([0.5 * (1.0 - xi), 0.5 * (1.0 + xi)])
@@ -267,16 +273,15 @@ def cell_strains(mesh, u, scheme, k_cells, n_points=None, split="12-34"):
     (n, 4, 2), areas (n,), strains (n, 3)); the vertices and areas are
     read-only.
 
-    After assemble on this mesh with the same scheme, k_cells, n_points
-    and split, as passed, the cells and fluxes of that pass are reused.
-    Otherwise they are built here, and the first element check_quads
-    rejects raises InvalidElement.
+    After assemble on this mesh with the same pass_key, the cells and
+    fluxes of that pass are reused. Otherwise they are built here, and
+    the first element check_quads rejects raises InvalidElement.
     """
-    key, cells = _ASSEMBLED_CELLS.get(mesh, (None, None))
+    kept, cells = _ASSEMBLED_CELLS.get(mesh, (None, None))
     verts, areas, fluxes, counts = (
-        cells if key == (scheme, k_cells, n_points, split) else _stack_cells(
-            mesh.num_elements, _each_element(mesh, element_cells, k_cells,
-                                             scheme, n_points, split)))
+        cells if kept == pass_key(scheme, k_cells, n_points, split)
+        else _stack_cells(mesh.num_elements, _each_element(
+            mesh, element_cells, k_cells, scheme, n_points, split)))
     ue = u[np.repeat(element_dofs(mesh), counts, axis=0)]  # (n, 8)
     strains = np.empty((len(areas), 3))
     for c, (area, flux) in enumerate(zip(areas, fluxes)):

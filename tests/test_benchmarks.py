@@ -21,7 +21,7 @@ from sfem2d.benchmarks import (
     run_patch_test,
     solve_beam,
 )
-from sfem2d.errors import InvalidElement
+from sfem2d.errors import InvalidElement, UnsupportedSubdivision
 from sfem2d.mesh import subdivide_adaptive
 from sfem2d.smoothing import GAUSS_1D, element_stiffness
 from sfem2d.solver import cell_strains
@@ -120,6 +120,12 @@ class TestBeamMesh:
         assert mesh.num_elements == 16 * 8
         xs = sorted(set(mesh.coords[:, 0].tolist()))
         assert xs[1] - xs[0] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("mesh_index", [math.inf, math.nan])
+    def test_non_finite_index_gives_no_elements(self, mesh_index):
+        # inf used to raise OverflowError, nan an int() ValueError
+        with pytest.raises(ValueError, match="gives no elements"):
+            beam_mesh(BEAM, mesh_index)
 
     def test_distortion_reseeds_on_invalid(self, monkeypatch, caplog):
         import sfem2d.benchmarks as bench
@@ -244,6 +250,32 @@ class TestRateFit:
     def test_ascending_required(self):
         with pytest.raises(ValueError):
             run_convergence_study("wachspress", 4, mesh_indices=(2.0, 1.0))
+
+    @pytest.mark.parametrize("alpha_ir", [0.0, 0.5])
+    def test_at_least_one_seed_required(self, alpha_ir):
+        # no seeds used to raise IndexError at alpha 0, and the message of
+        # the rate fit at alpha > 0
+        with pytest.raises(ValueError, match="at least one seed"):
+            run_convergence_study("wachspress", 4, alpha_ir, seeds=())
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(mesh_indices=(4.0, 4.0)), dict(mesh_indices=(1.0, math.inf)),
+        dict(alpha_ir=0.6), dict(quadrature=5), dict(split="bogus"),
+        dict(scheme="foo"), dict(k_cells=3),
+    ], ids=["repeated-index", "inf-index", "alpha", "quadrature", "split",
+            "scheme", "k"])
+    def test_arguments_checked_before_any_solve(self, kwargs, monkeypatch):
+        # (4, 4) used to run both solves before the rate fit rejected them
+        import sfem2d.benchmarks as bench
+
+        solves = []
+        monkeypatch.setattr(bench, "solve_beam",
+                            lambda *a, **kw: solves.append(a))
+        args = dict(scheme="wachspress", k_cells=4, alpha_ir=0.5) | kwargs
+        with pytest.raises((ValueError, UnsupportedSubdivision)) as exc:
+            run_convergence_study(**args)
+        assert solves == []
+        assert not str(exc.value).startswith("element")
 
 
 class TestCsv:

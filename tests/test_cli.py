@@ -5,6 +5,7 @@ import os
 import pytest
 
 from sfem2d.cli import main
+from sfem2d.errors import SingularSystem
 
 
 class TestShapefnDemo:
@@ -69,6 +70,32 @@ class TestConvergenceCommand:
         assert (tmp_path / "envout" / "convergence.csv").exists()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["--mesh-indices", "1,1"], ["--mesh-indices", "0.5,inf"],
+        ["--seeds", "0", "--alpha", "0.5"],
+    ])
+    def test_usage_error_creates_no_output_dir(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["convergence", *argv, "--output-dir", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        capsys.readouterr()
+
+    def test_numerical_failure_creates_no_output_dir(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # the directory used to be made before the first study ran
+        import sfem2d.benchmarks as bench
+
+        def fail(*args, **kwargs):
+            raise SingularSystem("forced for the output-dir test")
+
+        monkeypatch.setattr(bench, "run_convergence_study", fail)
+        out = tmp_path / "out"
+        assert main(["convergence", "--output-dir", str(out)]) == 1
+        assert not out.exists()
+        assert "forced" in capsys.readouterr().err
+
     def test_csv_matches_schema(self, tmp_path, capsys):
         assert main(["convergence", "--scheme", "averaged", "--k", "4",
                      "--mesh-indices", "0.5,1",
@@ -104,6 +131,7 @@ class TestUsageErrors:
         ["beam", "--mesh-index", "0"],
         ["beam", "--mesh-index", "0.05"],
         ["beam", "--mesh-index", "nan"],
+        ["beam", "--mesh-index", "inf"],
         ["convergence", "--mesh-indices", "0,1"],
     ])
     def test_mesh_index_without_elements_exit_2(self, argv, capsys):

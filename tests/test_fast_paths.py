@@ -912,6 +912,28 @@ class TestAssembledCellsReuse:
         assert calls == {"shape_evaluator": 0, "subdivide_adaptive": 0,
                          "check_quads": 0, "smoothed_b": len(verts)}
 
+    @pytest.mark.parametrize("n_points, split", [(2, "12-34"),
+                                                 (None, "23-41")])
+    def test_equal_resolved_pass_builds_no_cell(self, n_points, split):
+        # the key used to be the arguments as passed, so n_points=2 after
+        # n_points=None, or another split at k = 4, built every cell again
+        mesh = copy_mesh(FALLBACK_MESH)
+        assemble(mesh, "wachspress", 4, BEAM.material)
+        u = 1e-4 * np.random.default_rng(2).standard_normal(
+            2 * mesh.num_nodes)
+        calls = {}
+        with pytest.MonkeyPatch.context() as mp:
+            for module, name in ((smoothing, "shape_evaluator"),
+                                 (smoothing, "subdivide_adaptive"),
+                                 (solver, "check_quads")):
+                counting(mp, module, name, calls)
+            kept = recovered(mesh, u, "wachspress", 4, n_points, split)
+        assert calls == {"shape_evaluator": 0, "subdivide_adaptive": 0,
+                         "check_quads": 0}
+        assert_same_recovery(kept, recovered(copy_mesh(mesh), u,
+                                             "wachspress", 4, n_points,
+                                             split))
+
     def test_mesh_attributes_cannot_change(self):
         # the kept cells stay those of the mesh's one set of arrays
         mesh = generate_structured_mesh(2, 2, 2.0, 1.0)

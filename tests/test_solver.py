@@ -10,6 +10,7 @@ from sfem2d.errors import (
     NonExistent,
     SingularSystem,
     UnknownTag,
+    UnsupportedSubdivision,
 )
 from sfem2d.mesh import Mesh, generate_structured_mesh
 from sfem2d.shapefn import shape_evaluator
@@ -136,6 +137,26 @@ def test_unknown_scheme_is_value_error(call):
             apply_tractions(m, "right", lambda x, y: (1.0, 0.0), scheme="foo")
 
 
+@pytest.mark.parametrize("call", ["assemble", "cell_strains"])
+def test_argument_error_names_no_element(call):
+    # k=3 used to be reported as "element 0: k must be 1, 2 or 4"
+    m = generate_structured_mesh(2, 1, 2.0, 1.0)
+    with pytest.raises(UnsupportedSubdivision) as exc:
+        if call == "assemble":
+            assemble(m, "wachspress", 3, MAT)
+        else:
+            cell_strains(m, np.zeros(12), "wachspress", 3)
+    assert "element" not in str(exc.value)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_unknown_split_rejected_for_every_k(k):
+    # with k = 1 or 4 a bogus split used to run silently
+    m = generate_structured_mesh(2, 1, 2.0, 1.0)
+    with pytest.raises(ValueError, match=r"^unknown split 'bogus'$"):
+        assemble(m, "wachspress", k, MAT, None, "bogus")
+
+
 @pytest.mark.parametrize("n_points", [0, 5, 6])
 @pytest.mark.parametrize("call", ["element_stiffness", "apply_tractions"])
 def test_bad_quadrature_count_is_value_error(call, n_points):
@@ -183,6 +204,21 @@ class TestDirichletAndSolve:
         fix_dof(system, 3, 1.0)
         fix_dof(system, 3, 2.0)  # a prescribed DOF may be prescribed again
         assert system.fixed == {3: 2.0}
+
+    @pytest.mark.parametrize("name", ["stiffness", "mesh"])
+    def test_stiffness_and_mesh_cannot_be_rebound(self, name):
+        # a smaller stiffness used to reach solve, whose fixed DOF 11 then
+        # raised scipy's IndexError: index (11) out of range
+        system = assemble(generate_structured_mesh(2, 1, 2.0, 1.0),
+                          "wachspress", 4, MAT)
+        for dof in (0, 1, 6, 11):
+            fix_dof(system, dof, 0.0)
+        kept = getattr(system, name)
+        with pytest.raises(AttributeError):
+            setattr(system, name, system.stiffness[:8, :8].tocsr())
+        assert getattr(system, name) is kept
+        system.load = np.ones(12)   # the load may be replaced
+        assert solve(system).residual < 1e-10
 
     def test_minimal_constraints_solve(self):
         m = generate_structured_mesh(2, 1, 2, 1)
