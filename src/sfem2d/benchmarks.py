@@ -24,7 +24,6 @@ from .mesh import (
     vertex_successors,
 )
 from .smoothing import (
-    GAUSS_1D,
     MaterialModel,
     elasticity_matrix,
     pass_key,
@@ -107,27 +106,14 @@ def exact_strain(beam, x, y):
     )
 
 
-def exact_strain_energy(beam, nx=32, ny=16, n_points=4):
-    """Strain energy of the exact field by Gauss quadrature on a grid.
-
-    The energy density is polynomial of degree 4, so the default 4x4 rule
-    per cell integrates it exactly; this pins the sign and constant
-    conventions of the closed-form fields.
-    """
-    xi, w = GAUSS_1D[n_points]
-    dx = beam.length / nx
-    dy = beam.height / ny
-    x0 = (np.arange(nx) + 0.5) * dx
-    y0 = (np.arange(ny) + 0.5) * dy - beam.height / 2.0
-    gx = (x0[:, None] + 0.5 * dx * xi[None, :]).ravel()
-    wx = np.tile(0.5 * dx * w, nx)
-    gy = (y0[:, None] + 0.5 * dy * xi[None, :]).ravel()
-    wy = np.tile(0.5 * dy * w, ny)
-    xx, yy = np.meshgrid(gx, gy, indexing="ij")
-    sxx, syy, txy = exact_stress(beam, xx, yy)
-    eps = exact_strain(beam, xx, yy)
-    density = 0.5 * (sxx * eps[..., 0] + syy * eps[..., 1] + txy * eps[..., 2])
-    return float((wx[:, None] * wy[None, :] * density).sum() * beam.thickness)
+def exact_strain_energy(beam):
+    """Strain energy of the exact field: P^2 L^3 / (6 E I), bending, plus
+    t P^2 L D^5 / (240 I^2 G), shear, with I = t D^3 / 12."""
+    p, ll, d, t = beam.end_load, beam.length, beam.height, beam.thickness
+    e, i = beam.youngs_modulus, beam.inertia
+    g = e / (2.0 * (1.0 + beam.poisson_ratio))
+    return p * p * ll ** 3 / (6.0 * e * i) + t * p * p * ll * d ** 5 / (
+        240.0 * i * i * g)
 
 
 def run_patch_test(scheme, k_cells, distorted=False, seed=3, quadrature=None,

@@ -165,12 +165,15 @@ def quad_sides(quads):
 
 
 def check_sides(quad):
-    """quad_sides of one quad less the flags; a zero side raises."""
+    """quad_sides of one quad of positive area less the flags; a zero
+    side, or two sides that cross (corner_turns), raises."""
     d, length, zero = quad_sides(quad)
     if zero.any():
         i = int(np.argmax(zero))
         raise DegenerateElement(
             f"line through {quad[i]} and {quad[(i + 1) % 4]} is undefined")
+    if corner_turns(quad)[1]:
+        raise DegenerateElement("self-intersecting quad")
     return d, length
 
 

@@ -7,7 +7,7 @@ Three schemes:
   linear on edges, linearly complete, and positive inside convex quads.
 * ``averaged`` -- the nine-site table (nodes, edge midpoints, bimedian
   intersection) extended by linear interpolation along smoothing-cell
-  boundary segments. Defined only on that skeleton.
+  boundary segments. Defined only on that skeleton (``eval_averaged``).
 * ``lagrange`` -- the non-mapped {1, x, y, xy} fit through the nodes.
   May fail to exist (singular moment matrix), go negative, or lose
   linearity on edges; kept deliberately unpatched so those deficiencies
@@ -30,6 +30,7 @@ from .errors import (
 from .mesh import (
     SKELETON_SEGMENTS,
     check_sides,
+    corner_turns,
     polygon_area,
     subdivision_key,
     table_sites,
@@ -83,7 +84,7 @@ class WachspressBasis:
 
 
 def build_wachspress(quad):
-    """Construct the rational basis for a CCW quad.
+    """Construct the rational basis for a simple CCW quad.
 
     Side line i runs from node i to node i+1 and is positive on its left,
     which for a simple CCW quad is the element side. The wedge constant
@@ -178,9 +179,12 @@ def build_lagrange(quad):
     function space, but the moment matrix stays well conditioned for thin
     elements). Raises NonExistent when that matrix is singular relative
     to its Hadamard bound: all four nodes on a line, or on a pair of
-    axis-parallel lines / axis-aligned hyperbola.
+    axis-parallel lines / axis-aligned hyperbola; a quad of positive area
+    that crosses itself raises DegenerateElement.
     """
     quad = np.asarray(quad, dtype=float)
+    if polygon_area(quad) > 0.0 and corner_turns(quad)[1]:
+        raise DegenerateElement("self-intersecting quad")
     center = quad.mean(axis=0)
     scale = max(float(np.abs(quad - center).max()), 1e-300)
     q = (quad - center) / scale
@@ -241,20 +245,15 @@ def eval_averaged(quad, k, p, split="12-34"):
     return values.reshape(np.shape(p)[:-1] + (4,))
 
 
-def shape_evaluator(scheme, quad, k=4, split="12-34"):
-    """A callable (n, 2) -> (n, 4) for the requested scheme on one quad.
-
-    The averaged scheme needs the subdivision count k; the other two
-    ignore it.
-    """
+def shape_evaluator(scheme, quad):
+    """A callable (n, 2) -> (n, 4) on one quad for the two schemes defined
+    on the whole element, wachspress and lagrange."""
     check_scheme(scheme)
+    if scheme == "averaged":
+        raise ValueError("the averaged scheme is defined only on the cell "
+                         "skeleton; use eval_averaged(quad, k, p, split)")
     if scheme == "wachspress":
         basis = build_wachspress(quad)
         return lambda p: eval_wachspress(basis, p)
-    if scheme == "averaged":
-        quad = np.array(quad, dtype=float)  # a copy: the closure keeps it
-        subdivision_key(k, split)  # raises now, not at the first call
-        check_sides(quad)  # a zero side would give a zero skeleton segment
-        return lambda p: eval_averaged(quad, k, p, split)
     basis = build_lagrange(quad)
     return lambda p: eval_lagrange(basis, p)

@@ -8,9 +8,9 @@ I is
                                         [N_I ny, N_I nx]] dGamma,
 
 with n the outward unit normal; the element stiffness is the cell sum
-K = sum_C B_C^T D B_C A_C t. Boundary integrals use Gauss-Legendre points
-per straight segment: 2 by default for the rational and polynomial
-schemes, the native single midpoint for the averaged scheme.
+K = sum_C B_C^T D B_C A_C t. Boundary integrals use segment_rule: 2 Gauss
+points per straight segment by default, 1 (its native midpoint) for the
+averaged scheme, whose values come straight from the nine-site table.
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import DegenerateElement
 from .mesh import (
-    corner_turns,
+    CELL_SITES,
+    check_sides,
     subdivide_adaptive,
     subdivision_key,
     vertex_successors,
 )
-from .shapefn import check_scheme, shape_evaluator
+from .shapefn import SITE_VALUES, check_scheme, shape_evaluator
 
 log = logging.getLogger(__name__)
 
@@ -81,25 +82,37 @@ def pass_key(scheme, k_cells, n_points=None, split="12-34"):
     return scheme, key, n_points
 
 
+def segment_rule(v0, v1, n_points):
+    """Gauss-Legendre rule on each segment v0 -> v1 ((..., 2) ends):
+    points (..., q, 2) at mid + xi/2 * edge, weights (..., q) of length/2
+    * w, end-point hats (q, 2) of (1 - xi)/2 and (1 + xi)/2, and the unit
+    normals (..., 2) on the right (outward for a CCW boundary)."""
+    xi, wq = GAUSS_1D[n_points]
+    edges = v1 - v0
+    lengths = np.hypot(edges[..., 0], edges[..., 1])
+    normals = edges[..., ::-1] * (1.0, -1.0)
+    normals /= np.where(lengths > 0.0, lengths, 1.0)[..., None]
+    mids = 0.5 * (v0 + v1)
+    pts = mids[..., None, :] + 0.5 * xi[:, None] * edges[..., None, :]
+    hats = np.column_stack([0.5 * (1.0 - xi), 0.5 * (1.0 + xi)])
+    return pts, 0.5 * lengths[..., None] * wq, hats, normals
+
+
+def _flux(weights, nvals, normals):
+    """sum of weights * N_I * n from nvals (..., m, q, 4), -> (..., 4, 2)."""
+    per_segment = np.einsum("...sq,...sqi->...si", weights, nvals)
+    return np.einsum("...si,...sd->...id", per_segment, normals)
+
+
 def boundary_flux(vertices, evaluator, n_points=2):
     """Per-node boundary integrals (bx_I, by_I) = integral of N_I * n over
     the boundary of a CCW polygon, (m, 2) -> (4, 2); a stack of polygons
     (..., m, 2) gives (..., 4, 2) from one evaluator call."""
     v0 = np.asarray(vertices)
-    xi, wq = GAUSS_1D[n_points]
-    v1 = v0[..., vertex_successors(v0.shape[-2]), :]
-    edges = v1 - v0                                       # (..., m, 2)
-    lengths = np.hypot(edges[..., 0], edges[..., 1])      # (..., m)
-    normals = edges[..., ::-1] * (1.0, -1.0)             # outward for CCW
-    normals /= np.where(lengths > 0.0, lengths, 1.0)[..., None]
-    # all quadrature points of all segments in one evaluator call
-    mids = 0.5 * (v0 + v1)
-    pts = mids[..., None, :] + 0.5 * xi[:, None] * edges[..., None, :]
+    pts, weights, _, normals = segment_rule(
+        v0, v0[..., vertex_successors(v0.shape[-2]), :], n_points)
     nvals = np.asarray(evaluator(pts.reshape(-1, 2)))
-    nvals = nvals.reshape(pts.shape[:-1] + (4,))          # (..., m, q, 4)
-    weights = 0.5 * lengths[..., None] * wq               # (..., m, q)
-    per_segment = np.einsum("...sq,...sqi->...si", weights, nvals)
-    return np.einsum("...si,...sd->...id", per_segment, normals)
+    return _flux(weights, nvals.reshape(pts.shape[:-1] + (4,)), normals)
 
 
 def smoothed_b(area, flux):
@@ -118,22 +131,26 @@ def smoothed_b(area, flux):
 
 def element_cells(quad, k_cells, scheme, n_points=None, split="12-34"):
     """Smoothing cells of one element and the boundary flux of each, as
-    (vertices (k, 4, 2), areas (k,), fluxes (k, 4, 2)); one evaluator
-    call covers every cell.
-
-    A concave element whose requested cells would invert gets fewer
-    (subdivide_adaptive); a self-crossing quad raises DegenerateElement.
-    """
+    (vertices (k, 4, 2), areas (k,), fluxes (k, 4, 2)); fewer cells where
+    the requested ones would invert (subdivide_adaptive). The averaged N
+    on a cell edge from site a to b is (1 - xi)/2 SITE_VALUES[a] + (1 +
+    xi)/2 SITE_VALUES[b]; a self-crossing quad raises DegenerateElement."""
     n_points = pass_key(scheme, k_cells, n_points, split)[2]
     (verts, areas), k_used, split_used = subdivide_adaptive(quad, k_cells,
                                                             split)
-    if corner_turns(quad)[1]:  # the quad's area is > 0 here
-        raise DegenerateElement("self-intersecting quad")
     if k_used != k_cells:
         log.debug("element too concave for %d cells; smoothed with %d",
                   k_cells, k_used)
-    evaluator = shape_evaluator(scheme, quad, k_used, split_used)
-    return verts, areas, boundary_flux(verts, evaluator, n_points)
+    if scheme != "averaged":  # the basis checks the quad
+        return verts, areas, boundary_flux(
+            verts, shape_evaluator(scheme, quad), n_points)
+    check_sides(quad)  # the quad's area is > 0 here
+    nxt = vertex_successors(4)
+    ids = np.array(CELL_SITES[subdivision_key(k_used, split_used)])
+    _, weights, hats, normals = segment_rule(verts, verts[:, nxt], n_points)
+    nvals = (hats[:, :1] * SITE_VALUES[ids][:, :, None]
+             + hats[:, 1:] * SITE_VALUES[ids[:, nxt]][:, :, None])
+    return verts, areas, _flux(weights, nvals, normals)
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,10 +26,10 @@ from .errors import (
 from .mesh import EDGE_CORNERS, check_quads
 from .shapefn import shape_evaluator
 from .smoothing import (
-    GAUSS_1D,
     element_cells,
     element_stiffness,
     pass_key,
+    segment_rule,
     smoothed_b,
 )
 
@@ -146,18 +146,12 @@ def apply_tractions(mesh, edge_tag, traction, n_points=2, scheme="wachspress",
         raise UnknownTag(f"no boundary edge tagged {edge_tag!r}")
     n_points = pass_key(scheme, k_cells, n_points)[2]
     load = np.zeros(2 * mesh.num_nodes)
-    xi, wq = GAUSS_1D[n_points]
-    hats = np.column_stack([0.5 * (1.0 - xi), 0.5 * (1.0 + xi)])
     for be in edges:
         nodes = mesh.conn[be.element]
         quad = mesh.coords[nodes]
         a, b = EDGE_CORNERS[be.local_edge]
-        v0, v1 = quad[a], quad[b]
-        edge = v1 - v0
-        length = float(np.hypot(edge[0], edge[1]))
-        pts = 0.5 * (v0 + v1) + 0.5 * np.outer(xi, edge)
+        pts, weights, hats, _ = segment_rule(quad[a], quad[b], n_points)
         tvals = np.array([traction(x, y) for x, y in pts])  # (n_points, 2)
-        weights = 0.5 * length * wq
         shape, corners = ((shape_evaluator(scheme, quad)(pts), nodes)
                           if scheme == "lagrange" else (hats, nodes[[a, b]]))
         for i, node in enumerate(corners):

@@ -2,6 +2,8 @@
 and convergence records."""
 
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -88,10 +90,43 @@ class TestExactFields:
         )
         assert u == pytest.approx(closed, rel=1e-13)
 
+    def test_exact_energy_correctly_rounded(self):
+        # the closed form in rational arithmetic, rounded once
+        p, ll, d, t, e, nu = (Fraction(v) for v in (
+            BEAM.end_load, BEAM.length, BEAM.height, BEAM.thickness,
+            BEAM.youngs_modulus, BEAM.poisson_ratio))
+        i = t * d ** 3 / 12
+        g = e / (2 * (1 + nu))
+        exact = p * p * ll ** 3 / (6 * e * i) + t * p * p * ll * d ** 5 / (
+            240 * i * i * g)
+        assert exact_strain_energy(BEAM) == float(exact) == 0.03983333333333333
+
     def test_exact_energy_grid_independent(self):
-        coarse = exact_strain_energy(BEAM, nx=4, ny=2)
-        fine = exact_strain_energy(BEAM, nx=64, ny=32)
-        assert coarse == pytest.approx(fine, rel=1e-12)
+        # the energy density is a degree-4 polynomial, so a 4 x 4 Gauss
+        # rule per cell integrates it exactly on any grid
+        for beam in (BEAM, replace(BEAM, thickness=0.25)):
+            for nx, ny in ((4, 2), (64, 32)):
+                assert exact_strain_energy(beam) == pytest.approx(
+                    energy_by_gauss_grid(beam, nx, ny), rel=1e-12)
+
+
+def energy_by_gauss_grid(beam, nx, ny, n_points=4):
+    """Strain energy of the exact field by Gauss quadrature on an nx x ny
+    grid of the beam (the library's form before its closed form)."""
+    xi, w = GAUSS_1D[n_points]
+    dx = beam.length / nx
+    dy = beam.height / ny
+    x0 = (np.arange(nx) + 0.5) * dx
+    y0 = (np.arange(ny) + 0.5) * dy - beam.height / 2.0
+    gx = (x0[:, None] + 0.5 * dx * xi[None, :]).ravel()
+    wx = np.tile(0.5 * dx * w, nx)
+    gy = (y0[:, None] + 0.5 * dy * xi[None, :]).ravel()
+    wy = np.tile(0.5 * dy * w, ny)
+    xx, yy = np.meshgrid(gx, gy, indexing="ij")
+    sxx, syy, txy = exact_stress(beam, xx, yy)
+    eps = exact_strain(beam, xx, yy)
+    density = 0.5 * (sxx * eps[..., 0] + syy * eps[..., 1] + txy * eps[..., 2])
+    return float((wx[:, None] * wy[None, :] * density).sum() * beam.thickness)
 
 
 class TestPatchTest:

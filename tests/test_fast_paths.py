@@ -3,9 +3,11 @@ replaced: the blocked error quadrature, the roll-free polygon helpers,
 the stacked shoelace, the whole-mesh element checks of distort_mesh,
 the array Wachspress construction, the batched skeleton search, the
 site, cell and flux formulas of the per-cell smoothing step, the stacked
-cell-boundary flux of each element, the retry-free concave fallback, the
-array strain recovery and its reuse of the cells and fluxes of
-assemble, and the one edge-load scatter of apply_tractions."""
+cell-boundary flux of each element, the averaged flux from its site table
+(against exact rational arithmetic and the skeleton search), the
+retry-free concave fallback, the array strain recovery and its reuse of
+the cells and fluxes of assemble, and the one edge-load scatter of
+apply_tractions."""
 
 import gc
 import math
@@ -40,6 +42,7 @@ from sfem2d.mesh import (
     DistortionSpec,
     Mesh,
     check_quads,
+    check_sides,
     concave_elements,
     corner_turns,
     distort_mesh,
@@ -435,6 +438,28 @@ def flux_by_columns(verts, evaluator, n_points):
     return np.einsum("si,sd->id", per_segment, normals)
 
 
+def table_values(ids, n_points):
+    """Averaged shape values (m, q, 4) at the Gauss points of each edge of
+    a cell with site ids ``ids``: the hats of its two end sites times
+    their SITE_VALUES rows (the closed form, one cell at a time)."""
+    xi, _ = GAUSS_1D[n_points]
+    ends = SITE_VALUES[list(ids)], SITE_VALUES[list(ids[1:]) + [ids[0]]]
+    return ((0.5 * (1.0 - xi))[:, None] * ends[0][:, None]
+            + (0.5 * (1.0 + xi))[:, None] * ends[1][:, None])
+
+
+def cell_evaluators(scheme, quad, k_used, split_used, n_points):
+    """One evaluator per cell of a subdivision: the scheme's evaluator,
+    or for the averaged scheme the table values of that cell, which need
+    no points."""
+    ids = CELL_SITES[subdivision_key(k_used, split_used)]
+    if scheme != "averaged":
+        return [shape_evaluator(scheme, quad)] * len(ids)
+    check_sides(quad)
+    return [lambda p, v=table_values(c, n_points): v.reshape(-1, 4)
+            for c in ids]
+
+
 SUBDIVISIONS = st.sampled_from([(1, "12-34"), (2, "12-34"), (2, "23-41"),
                                 (4, "12-34")])
 # Small integer corners: repeated nodes, collinear triples, zero and
@@ -634,8 +659,6 @@ class TestBatchedSkeleton:
         np.testing.assert_array_equal(eval_averaged(quad, k, pts[0], split),
                                       slow[0])
         assert eval_averaged(quad, k, np.empty((0, 2)), split).shape == (0, 4)
-        evaluator = shape_evaluator("averaged", quad, k, split)
-        np.testing.assert_array_equal(evaluator(pts), slow)
 
     @settings(max_examples=100, deadline=None)
     @given(quad=QUADS, sub=SUBDIVISIONS, at=st.integers(0, 5))
@@ -684,32 +707,98 @@ class TestCellFormulas:
         # an error outcome is (type, message)
         assume(not isinstance(cells[0], type))
         (verts, _), k_used, split_used = cells
-        evaluator = outcome(shape_evaluator, scheme, quad, k_used, split_used)
-        assume(not isinstance(evaluator, tuple))
-        polygons = list(verts)
-        if scheme != "averaged":
-            # a basis defined everywhere takes any polygon, 3 to 5 sides
-            polygons.append(quad[0] + np.random.default_rng(vseed).random(
-                (int(vseed % 3) + 3, 2)))
+        evaluators = outcome(cell_evaluators, scheme, quad, k_used,
+                             split_used, n_points)
+        assume(not isinstance(evaluators, tuple))
+        if scheme == "averaged":
+            # no evaluator: element_cells takes the values from the table
+            fast = element_cells(quad, k, scheme, n_points, split)[2]
+            for flux, v, ev in zip(fast, verts, evaluators, strict=True):
+                np.testing.assert_array_equal(
+                    flux, flux_by_columns(v, ev, n_points))
+            return
+        # a basis defined everywhere takes any polygon, 3 to 5 sides
+        polygons = list(verts) + [quad[0] + np.random.default_rng(
+            vseed).random((int(vseed % 3) + 3, 2))]
         for verts in polygons:
-            fast = outcome(boundary_flux, verts, evaluator, n_points)
-            slow = outcome(flux_by_columns, verts, evaluator, n_points)
+            fast = outcome(boundary_flux, verts, evaluators[0], n_points)
+            slow = outcome(flux_by_columns, verts, evaluators[0], n_points)
             if isinstance(slow, tuple):
                 assert fast == slow
             else:
                 np.testing.assert_array_equal(fast, slow)
 
 
+def exact_table_flux(verts, ids):
+    """The averaged flux of each cell in rational arithmetic from its
+    float vertices: on the edge e from site a to site b every Gauss rule
+    gives (SITE_VALUES[a] + SITE_VALUES[b]) / 2 times (e_y, -e_x)."""
+    out = []
+    for v, c in zip(verts, ids):
+        flux = [[Fraction(0), Fraction(0)] for _ in range(4)]
+        for s in range(len(c)):
+            (x0, y0), (x1, y1) = v[s], v[(s + 1) % len(c)]
+            ex, ey = Fraction(x1) - Fraction(x0), Fraction(y1) - Fraction(y0)
+            for i in range(4):
+                mean = (Fraction(SITE_VALUES[c[s], i])
+                        + Fraction(SITE_VALUES[c[(s + 1) % len(c)], i])) / 2
+                flux[i][0] += mean * ey
+                flux[i][1] -= mean * ex
+        out.append(flux)
+    return out
+
+
+class TestAveragedTable:
+    @settings(max_examples=150, deadline=None)
+    @given(quad=QUADS, k=st.sampled_from([1, 2, 4]), split=SPLITS,
+           n_points=st.integers(1, 4),
+           shift=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)))
+    @example(quad=DART, k=4, split="12-34", n_points=1, shift=(1e6, -1e6))
+    def test_flux_within_8_eps_of_exact(self, quad, k, split, n_points,
+                                        shift):
+        # far from the origin too, where a point search with an absolute
+        # tolerance loses accuracy or misses the skeleton
+        quad = quad + np.array(shift) * quad_diameter(quad)
+        cells = outcome(element_cells, quad, k, "averaged", n_points, split)
+        if isinstance(cells[0], type):
+            # the shifted corners may round to an inverted cell, never
+            # to a point off the skeleton
+            assert cells[0] is DegenerateElement
+            assume(False)
+        verts, _, fluxes = cells
+        _, k_used, split_used = subdivide_adaptive(quad, k, split)
+        ids = CELL_SITES[subdivision_key(k_used, split_used)]
+        for flux, exact in zip(fluxes, exact_table_flux(verts, ids),
+                               strict=True):
+            scale = max(abs(x) for row in exact for x in row)
+            err = max(abs(Fraction(float(f)) - x)
+                      for f, x in zip(flux.ravel(), sum(exact, [])))
+            assert err <= 8 * Fraction(np.finfo(float).eps) * scale
+
+    @settings(max_examples=100, deadline=None)
+    @given(quad=QUADS, k=st.sampled_from([1, 2, 4]), split=SPLITS,
+           n_points=st.integers(1, 4))
+    def test_flux_near_skeleton_search(self, quad, k, split, n_points):
+        # eval_averaged, the point-wise definition, is the reference
+        verts, _, fluxes = element_cells(quad, k, "averaged", n_points, split)
+        _, k_used, split_used = subdivide_adaptive(quad, k, split)
+        search = boundary_flux(verts, lambda p: eval_averaged(
+            quad, k_used, p, split_used), n_points)
+        assert np.abs(fluxes - search).max() <= 16 * np.finfo(float).eps * \
+            np.abs(fluxes).max()
+
+
 def cells_per_cell(quad, k_cells, scheme, n_points=None, split="12-34"):
     """element_cells with one boundary_flux call per cell (its form
-    before the cells of an element were stacked)."""
+    before the cells of an element were stacked), the averaged values
+    from the table of each cell."""
     if n_points is None:
         n_points = default_quadrature(scheme)
     (verts, areas), k_used, split_used = subdivide_adaptive(quad, k_cells,
                                                             split)
-    evaluator = shape_evaluator(scheme, quad, k_used, split_used)
-    return verts, areas, np.array([boundary_flux(v, evaluator, n_points)
-                                   for v in verts])
+    evaluators = cell_evaluators(scheme, quad, k_used, split_used, n_points)
+    return verts, areas, np.array([boundary_flux(v, ev, n_points)
+                                   for v, ev in zip(verts, evaluators)])
 
 
 def b_matrices_per_cell(quad, k_cells, scheme, n_points=None, split="12-34"):
@@ -775,10 +864,14 @@ class TestStackedFlux:
                                                n_points):
         # simple CCW quads always subdivide, falling back to fewer cells
         (verts, _), k_used, split_used = subdivide_adaptive(quad, k, split)
-        evaluator = outcome(shape_evaluator, scheme, quad, k_used, split_used)
-        assume(not isinstance(evaluator, tuple))
-        fast = outcome(boundary_flux, verts, evaluator, n_points)
-        slow = [outcome(boundary_flux, v, evaluator, n_points) for v in verts]
+        evaluators = outcome(cell_evaluators, scheme, quad, k_used,
+                             split_used, n_points)
+        assume(not isinstance(evaluators, tuple))
+        fast = (element_cells(quad, k, scheme, n_points, split)[2]
+                if scheme == "averaged"
+                else outcome(boundary_flux, verts, evaluators[0], n_points))
+        slow = [outcome(boundary_flux, v, ev, n_points)
+                for v, ev in zip(verts, evaluators)]
         raised = [f for f in slow if isinstance(f, tuple)]
         if raised:
             assert fast == raised[0]
@@ -1029,7 +1122,7 @@ def tractions_two_branch(mesh, tag, traction, n_points, scheme, k_cells):
         tvals = np.array([traction(x, y) for x, y in pts])
         weights = 0.5 * length * wq
         if scheme == "lagrange":
-            nvals = np.asarray(shape_evaluator(scheme, quad, k_cells)(pts))
+            nvals = np.asarray(shape_evaluator(scheme, quad)(pts))
             for i, node in enumerate(nodes):
                 fi = (weights * nvals[:, i]) @ tvals
                 load[2 * node : 2 * node + 2] += fi

@@ -342,10 +342,40 @@ class TestSchemeRelations:
                 )
 
     def test_shape_evaluator_dispatch(self):
-        for scheme in ("wachspress", "averaged", "lagrange"):
-            ev = shape_evaluator(scheme, UNIT_SQUARE, 4)
+        for scheme in ("wachspress", "lagrange"):
+            ev = shape_evaluator(scheme, UNIT_SQUARE)
             v = ev(np.array([[0.5, 0.0]]))
             assert v.shape == (1, 4)
             assert v[0] == pytest.approx([0.5, 0.5, 0, 0], abs=1e-12)
         with pytest.raises(ValueError):
             shape_evaluator("mapped-q4", UNIT_SQUARE)
+
+    def test_averaged_has_no_whole_element_evaluator(self):
+        with pytest.raises(ValueError, match=r"eval_averaged\(quad, k, p, "
+                           r"split\)"):
+            shape_evaluator("averaged", UNIT_SQUARE)
+
+
+class TestSelfCrossingQuad:
+    # signed area +1, sides 2-3 and 4-1 cross: no inside, so no basis
+    BOWTIE = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 1.0], [1.0, 2.0]])
+
+    @pytest.mark.parametrize("build", [build_wachspress, build_lagrange])
+    def test_no_basis_is_built(self, build):
+        with pytest.raises(DegenerateElement,
+                           match="^self-intersecting quad$"):
+            build(self.BOWTIE)
+
+    @pytest.mark.parametrize("scheme", ["wachspress", "lagrange"])
+    def test_no_evaluator_is_built(self, scheme):
+        with pytest.raises(DegenerateElement,
+                           match="^self-intersecting quad$"):
+            shape_evaluator(scheme, self.BOWTIE)
+
+    def test_clockwise_quad_keeps_its_lagrange_basis(self):
+        # the crossing rule is for quads of positive area; the {1, x, y,
+        # xy} fit does not depend on the node order's orientation
+        cw = build_lagrange(PARALLELOGRAM[::-1])
+        ccw = build_lagrange(PARALLELOGRAM)
+        assert eval_lagrange(cw, POINT_Q) == pytest.approx(
+            eval_lagrange(ccw, POINT_Q)[::-1], abs=1e-14)

@@ -9,7 +9,6 @@ from sfem2d.shapefn import shape_evaluator
 from sfem2d.smoothing import (
     MaterialModel,
     boundary_flux,
-    default_quadrature,
     elasticity_matrix,
     element_cells,
     element_stiffness,
@@ -81,17 +80,14 @@ class TestSmoothedB:
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_translation_gives_zero_strain(self, scheme, k, rng):
         quad = random_convex_quad(rng)
-        ev = shape_evaluator(scheme, quad, k)
         u = np.tile([0.7, -0.3], 4)
-        cells, k_used, _ = subdivide_adaptive(quad, k)
-        assert k_used == k
-        for verts, area in zip(*cells):
-            bm = smoothed_b(area, boundary_flux(verts, ev,
-                                                default_quadrature(scheme)))
-            assert np.abs(bm @ u).max() < 1e-12
+        _, areas, fluxes = element_cells(quad, k, scheme)
+        assert len(areas) == k
+        for area, flux in zip(areas, fluxes):
+            assert np.abs(smoothed_b(area, flux) @ u).max() < 1e-12
 
     def test_linear_field_unit_square(self):
-        ev = shape_evaluator("wachspress", UNIT_SQUARE, 1)
+        ev = shape_evaluator("wachspress", UNIT_SQUARE)
         ((verts,), (area,)), k_used, _ = subdivide_adaptive(UNIT_SQUARE, 1)
         assert k_used == 1
         u = UNIT_SQUARE[:, 0]  # u = (x, 0)
@@ -108,7 +104,7 @@ class TestSmoothedB:
             b = rng.uniform(-1, 1, 2)
             u = (quad @ a.T + b).ravel()
             expected = [a[0, 0], a[1, 1], a[0, 1] + a[1, 0]]
-            ev = shape_evaluator("wachspress", quad, 4)
+            ev = shape_evaluator("wachspress", quad)
             cells, k_used, _ = subdivide_adaptive(quad, 4)
             assert k_used == 4
             for verts, area in zip(*cells):
@@ -118,14 +114,12 @@ class TestSmoothedB:
     def test_averaged_midpoint_equals_wachspress_on_square(self):
         # on a rectangle both reduce to bilinear boundary values, so the
         # single-midpoint averaged rule and 2-point Gauss agree exactly
-        ev_a = shape_evaluator("wachspress", UNIT_SQUARE, 4)
-        ev_b = shape_evaluator("averaged", UNIT_SQUARE, 4)
-        cells, k_used, _ = subdivide_adaptive(UNIT_SQUARE, 4)
-        assert k_used == 4
-        for verts, area in zip(*cells):
-            ba = smoothed_b(area, boundary_flux(verts, ev_a, 2))
-            bb = smoothed_b(area, boundary_flux(verts, ev_b, 1))
-            assert np.abs(ba - bb).max() < 1e-12
+        ev_a = shape_evaluator("wachspress", UNIT_SQUARE)
+        verts, areas, fluxes = element_cells(UNIT_SQUARE, 4, "averaged", 1)
+        assert len(areas) == 4
+        for v, area, flux in zip(verts, areas, fluxes):
+            ba = smoothed_b(area, boundary_flux(v, ev_a, 2))
+            assert np.abs(ba - smoothed_b(area, flux)).max() < 1e-12
 
     def test_closed_boundary_normal_integral(self, rng):
         # sum of length-weighted outward normals of any closed cell is zero
@@ -146,7 +140,7 @@ class TestSmoothedB:
     def test_zero_area_cell(self):
         with pytest.raises(DegenerateElement):
             smoothed_b(0.0, boundary_flux(
-                UNIT_SQUARE, shape_evaluator("wachspress", UNIT_SQUARE, 1)))
+                UNIT_SQUARE, shape_evaluator("wachspress", UNIT_SQUARE)))
 
 
 class TestElementStiffness:
@@ -197,6 +191,21 @@ class TestElementStiffness:
         with pytest.raises(DegenerateElement,
                            match="^self-intersecting quad$"):
             element_cells(bowtie, 4, scheme)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("n_points", [1, 2, 3, 4])
+    def test_averaged_stiffness_does_not_move_with_the_element(self, k,
+                                                               n_points):
+        # every site, edge and area of the unit square is exact at an
+        # offset of 1e7, so the stiffness must be too; values found by a
+        # point search (eval_averaged) round differently there
+        mat = MaterialModel(3e7, 0.3)
+        at_origin = element_stiffness(UNIT_SQUARE, k, "averaged", mat,
+                                      n_points)
+        moved = element_stiffness(UNIT_SQUARE + 1e7, k, "averaged", mat,
+                                  n_points)
+        assert np.array_equal(moved.areas, at_origin.areas)
+        assert np.array_equal(moved.k, at_origin.k)
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_rank_and_symmetry(self, k, rng):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from sfem2d.benchmarks import TimoshenkoBeam, beam_mesh
 from sfem2d.errors import (
     AllDofsFixed,
     InvalidElement,
@@ -14,7 +15,7 @@ from sfem2d.errors import (
 )
 from sfem2d.mesh import Mesh, generate_structured_mesh
 from sfem2d.shapefn import shape_evaluator
-from sfem2d.smoothing import MaterialModel, element_stiffness
+from sfem2d.smoothing import MaterialModel, element_cells, element_stiffness
 from sfem2d.solver import (
     GlobalSystem,
     apply_dirichlet,
@@ -61,6 +62,23 @@ class TestAssemble:
         kb = assemble(m, "averaged", 4, MAT).stiffness
         scale = np.abs(ka.toarray()).max()
         assert np.abs((ka - kb).toarray()).max() < 1e-10 * scale
+
+    def test_averaged_mesh_far_from_the_origin_assembles(self):
+        # at (1e5, 1e5) the skeleton search, whose tolerance is absolute
+        # (1e-10 * diameter), lost a flux point of element 52 and raised
+        # OffSkeleton. A cell flux sums over four edges a table mean <= 1
+        # times an edge component, and the shift moves each cell vertex
+        # by at most two ulps of 1e5, so each flux by at most 16 of them.
+        beam = TimoshenkoBeam()
+        mesh = beam_mesh(beam, 8, 0.5, 3)
+        moved = Mesh(mesh.coords + 1e5, mesh.conn, mesh.boundary_edges)
+        k = assemble(moved, "averaged", 4, beam.material).stiffness
+        assert np.isfinite(k.data).all()
+        for quad, far in zip(mesh.coords[mesh.conn],
+                             moved.coords[moved.conn]):
+            shift = (element_cells(far, 4, "averaged")[2]
+                     - element_cells(quad, 4, "averaged")[2])
+            assert np.abs(shift).max() <= 16 * np.spacing(1e5)
 
     def test_element_error_annotated(self):
         m = generate_structured_mesh(2, 1, 2, 1)
